@@ -75,6 +75,13 @@ pub fn digest_error(what: &str, got: u64, want: u64) -> Option<String> {
     (got != want).then(|| format!("{what}: digest {got:016x} != reference {want:016x}"))
 }
 
+/// Set-ups per round: `setups` split over three rounds, the first round
+/// at least one.
+pub fn setup_rounds(setups: usize) -> [usize; 3] {
+    let later = setups / 3;
+    [setups.saturating_sub(2 * later).max(1), later, later]
+}
+
 pub fn nproc() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -106,6 +113,16 @@ pub fn peak_rss_mib() -> f64 {
 /// Open file descriptors of this process.
 pub fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
+}
+
+/// Soft limit on open files of this process (`RLIMIT_NOFILE`, from
+/// `/proc/self/limits`); `None` when unlimited or unreadable.
+pub fn open_files_limit() -> Option<usize> {
+    let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
+    limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))
+        .and_then(|v| v.split_whitespace().next()?.parse().ok())
 }
 
 /// The 1-minute load average.

@@ -52,7 +52,7 @@ pub fn sources(workload: &str, seconds: Duration) -> Sources {
         };
         Sources {
             ladder: crate::mandel::MANDEL,
-            daemon: short_plan(vec![kind], 0.0, serve::daemon_config(1, n)),
+            daemon: short_plan(vec![kind], serve::daemon_config(1, n)),
         }
     } else {
         Sources {
@@ -69,10 +69,10 @@ pub fn sources(workload: &str, seconds: Duration) -> Sources {
 const STREAM_RUNS: usize = 10;
 
 /// A short daemon rung: one daemon, about a second of each loop.
-fn short_plan(kinds: Vec<Kind>, heavy_share: f64, daemon: ezp_serve::ServeConfig) -> Plan {
+fn short_plan(kinds: Vec<Kind>, daemon: ezp_serve::ServeConfig) -> Plan {
     Plan {
         kinds,
-        heavy_share,
+        heavy_share: 0.0,
         daemon,
         setups: 1,
         warmup_jobs: 3,
@@ -117,18 +117,17 @@ pub fn traced(opts: &crate::Opts) -> Report {
     report
 }
 
-/// What a traced parallel path measured, for `path_metrics`.
+/// What the kernel ladder's traced parallel path measured, for
+/// `path_metrics`.
 #[derive(Default)]
 struct TracedPath {
-    /// Wall times of the same operation untraced and traced, ms.
+    /// Wall times of `omp_tiled` at `nproc` threads untraced and traced, ms.
     plain_ms: Vec<f64>,
     traced_ms: Vec<f64>,
-    /// The probe of each traced operation.
+    /// The probe of each traced run.
     probes: Vec<Arc<TileProbe>>,
-    /// Name of the busy spans (tiles, stream stages).
-    busy_span: &'static str,
     workers: usize,
-    /// `omp_tiled` at 1 and at `nproc` threads, ms (kernel ladder only).
+    /// `omp_tiled` at 1 and at `nproc` threads, ms.
     par1_ms: f64,
     parn_ms: f64,
 }
@@ -174,7 +173,6 @@ fn kernel_ladder(src: &Sources, t: &Arc<Tracer>, report: &mut Report) -> TracedP
     ];
     let mut path = TracedPath {
         workers: n,
-        busy_span: "tile",
         ..Default::default()
     };
     for _ in 0..REPS {
@@ -187,7 +185,7 @@ fn kernel_ladder(src: &Sources, t: &Arc<Tracer>, report: &mut Report) -> TracedP
             ));
             rans.push(ran);
         }
-        let probe = Arc::new(TileProbe::new(t.clone(), n, t.id(), true));
+        let probe = Arc::new(TileProbe::new(t.clone(), n, t.id()));
         let ran = timed_job(t, &reg, job, "omp_tiled", n, probe.clone());
         report.check(digest_error(
             &format!("{} omp_tiled traced", job.kernel),
@@ -272,10 +270,11 @@ fn cost_maps(job: &Job) -> Vec<CostMap> {
         .collect()
 }
 
-/// Metrics of the traced parallel path: busy time from the busy spans,
-/// idle causes and chunk counts from the runtime's counters, and what
-/// tracing itself cost.
-fn path_metrics(path: &TracedPath, streamed: &TracedPath, t: &Tracer, report: &mut Report) {
+/// Metrics of the traced parallel path: busy time from the tile spans,
+/// idle causes and chunk counts from the runtime's counters (the
+/// task-graph ones from the stream layer's probes), and what tracing
+/// itself cost.
+fn path_metrics(path: &TracedPath, streamed: &[Arc<TileProbe>], t: &Tracer, report: &mut Report) {
     let mut busy_ms = Vec::new();
     let mut efficiency = Vec::new();
     let mut imbalance = Vec::new();
@@ -284,7 +283,7 @@ fn path_metrics(path: &TracedPath, streamed: &TracedPath, t: &Tracer, report: &m
         for s in t
             .spans()
             .iter()
-            .filter(|s| s.id == probe.id && s.name == path.busy_span)
+            .filter(|s| s.id == probe.id && s.name == "tile")
         {
             if let Some(w) = per_worker.get_mut(s.lane) {
                 *w += s.ns();
@@ -296,10 +295,9 @@ fn path_metrics(path: &TracedPath, streamed: &TracedPath, t: &Tracer, report: &m
         efficiency.push(total / (path.workers as f64 * wall_ms));
         imbalance.push(max / (total / path.workers as f64));
     }
-    let per_op = |path: &TracedPath, counter: &str| {
+    let per_op = |probes: &[Arc<TileProbe>], counter: &str| {
         median(
-            &path
-                .probes
+            &probes
                 .iter()
                 .map(|p| p.perf.snapshot().total(counter) as f64)
                 .collect::<Vec<_>>(),
@@ -313,13 +311,17 @@ fn path_metrics(path: &TracedPath, streamed: &TracedPath, t: &Tracer, report: &m
         .iter()
         .enumerate()
     {
-        let from = if matches!(i, 0 | 4) { streamed } else { path };
+        let from = if matches!(i, 0 | 4) {
+            streamed
+        } else {
+            &path.probes
+        };
         let idle_ms = per_op(from, names::IDLE_NS_BY_CAUSE[i]) / 1e6;
         report.metric(format!("sched.idle_ms.{cause}"), idle_ms, "ms");
     }
     report.metric(
         "sched.chunks",
-        per_op(path, names::CHUNKS_DISPENSED),
+        per_op(&path.probes, names::CHUNKS_DISPENSED),
         "count",
     );
     report.metric(
@@ -452,15 +454,12 @@ fn simsched(job: &Job, path: &TracedPath, report: &mut Report) {
 /// for the engine's own statistics, and the same pipeline built from
 /// `ezp_stream::Pipeline` with stage and sink spans, through
 /// `run_pipeline`. Both are checked against the demo's `run_seq`.
-fn stream_layer(t: &Arc<Tracer>, report: &mut Report) -> TracedPath {
+/// Returns the replica runs' probes.
+fn stream_layer(t: &Arc<Tracer>, report: &mut Report) -> Vec<Arc<TileProbe>> {
     let job = stream::FRAME_DIFF;
     let n = nproc();
     let mut ready = Ready::set_up(job, report);
-    let mut path = TracedPath {
-        workers: n,
-        busy_span: "stage",
-        ..Default::default()
-    };
+    let mut probes = Vec::new();
     let (mut seq_ms, mut par_ms, mut stats) = (Vec::new(), Vec::new(), Vec::new());
     let mut gaps_us = Vec::new();
     for _ in 0..STREAM_RUNS {
@@ -474,24 +473,10 @@ fn stream_layer(t: &Arc<Tracer>, report: &mut Report) -> TracedPath {
         par_ms.push(wall);
         stats.push(st);
 
-        // the replica, traced and untraced (for the probe overhead)
-        let probe = Arc::new(TileProbe::new(t.clone(), n, t.id(), true));
-        let t0 = Instant::now();
-        let out = replica_run(
-            &job,
-            &mut ready.pool,
-            &*probe,
-            Some(t),
-            probe.id,
-            &mut gaps_us,
-        );
-        path.traced_ms.push(ms(t0.elapsed()));
-        path.probes.push(probe);
+        let probe = Arc::new(TileProbe::new(t.clone(), n, t.id()));
+        let out = replica_run(&job, &mut ready.pool, &probe, &mut gaps_us);
+        probes.push(probe);
         report.check(ready.check(&out, "run_pipeline replica"));
-        let t0 = Instant::now();
-        let out = replica_run(&job, &mut ready.pool, &NullProbe, None, 0, &mut Vec::new());
-        path.plain_ms.push(ms(t0.elapsed()));
-        report.check(ready.check(&out, "run_pipeline replica, untraced"));
     }
     let frames = job.frames as f64;
     let seq_fps = frames * 1e3 / median(&seq_ms);
@@ -527,7 +512,7 @@ fn stream_layer(t: &Arc<Tracer>, report: &mut Report) -> TracedPath {
         stat(|s| s.chan_full_stalls as f64),
         "count",
     );
-    path
+    probes
 }
 
 /// The `frame_diff` source pixel, as the demo defines it.
@@ -546,25 +531,21 @@ fn stage_lane() -> usize {
 }
 
 /// `frame_diff`'s pipeline (farm generate, stateful serial diff) run
-/// through `run_pipeline`, with a span per stage call (when `tracer` is
-/// set) and the time between sink calls pushed to `gaps_us`.
+/// through `run_pipeline` with `probe`, a span per stage and sink call
+/// on the probe's tracer, and the time between sink calls pushed to
+/// `gaps_us`.
 fn replica_run(
     job: &StreamJob,
     pool: &mut WorkerPool,
-    probe: &dyn Probe,
-    tracer: Option<&Arc<Tracer>>,
-    id: u64,
+    probe: &TileProbe,
     gaps_us: &mut Vec<f64>,
 ) -> Vec<FrameOut> {
     let dim = job.dim;
     let width = pool.threads();
+    let (tracer, id) = (&probe.tracer, probe.id);
     let stage_span = {
-        let tracer = tracer.cloned();
-        Arc::new(move |t0: u64| {
-            if let Some(t) = &tracer {
-                t.record("stage", stage_lane(), id, t0, now_ns());
-            }
-        })
+        let tracer = tracer.clone();
+        Arc::new(move |t0: u64| tracer.record("stage", stage_lane(), id, t0, now_ns()))
     };
     let (gen_span, diff_span) = (stage_span.clone(), stage_span);
     let prev = Mutex::new(vec![0u8; dim * dim]);
@@ -606,9 +587,7 @@ fn replica_run(
             }
             last = Some(now);
             out.push((f, bytes));
-            if let Some(t) = tracer {
-                t.record("sink", LANE_MAIN, id, now, now_ns());
-            }
+            tracer.record("sink", LANE_MAIN, id, now, now_ns());
         },
     )
     .unwrap_or_else(|e| panic!("run_pipeline: {e}"));

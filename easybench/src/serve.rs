@@ -9,7 +9,7 @@
 //! (`serve.done_before_accepted`) instead of desynchronising the
 //! connection.
 
-use crate::common::{digest_error, run_job, sleep_until, Job};
+use crate::common::{digest_error, run_job, setup_rounds, sleep_until, Job};
 use crate::report::Report;
 use crate::stats::{median, quantile};
 use crate::trace::{Tracer, LANE_CLIENT, LANE_RECEIVER, LANE_SENDER};
@@ -71,9 +71,11 @@ pub struct Plan {
     pub kinds: Vec<Kind>,
     pub heavy_share: f64,
     pub daemon: ServeConfig,
-    /// Daemon start-ups; `setup_s` is their median. The last daemon stays up.
+    /// Daemon start-ups, in three rounds (see `run`); `setup_s` is their
+    /// median.
     pub setups: usize,
-    /// Jobs run on each fresh daemon as part of its set-up.
+    /// Jobs run on the load daemon before the load, the first of them
+    /// as part of its set-up.
     pub warmup_jobs: usize,
     /// In-process reference runs of the mix (the `seq` path).
     pub seq: Duration,
@@ -92,7 +94,7 @@ impl Plan {
             kinds: vec![TINY, HEAVY],
             heavy_share: 0.1,
             daemon: daemon_config(2, 1),
-            setups: 7,
+            setups: 21,
             warmup_jobs: 40,
             seq: seconds.mul_f64(0.1),
             closed: seconds.mul_f64(0.4),
@@ -359,25 +361,72 @@ pub struct ServeRaw {
     pub kinds: Vec<Kind>,
 }
 
-/// Starts a daemon and runs `plan.warmup_jobs` jobs through it, every
-/// tenth one heavy.
-fn start_daemon(plan: &Plan, refs: &[u64], report: &mut Report) -> (Server, u64) {
+/// A daemon's set-up: start it, connect, and run its first job cold.
+/// Returns the connection and the daemon, still up.
+fn start_daemon(plan: &Plan, refs: &[u64], dba: &mut u64, report: &mut Report) -> (Wire, Server) {
     let server = Server::start(plan.daemon.clone()).expect("start the serve daemon");
     let mut wire = Wire::connect(server.addr()).expect("connect to the daemon");
     let mut m = Matcher::default();
-    for i in 0..plan.warmup_jobs {
+    let s = spec(&plan.kinds[0], TENANTS[0]);
+    match round_trip(&mut wire, &mut m, 0, &s, now_ns()) {
+        Ok(c) => report.check(check(&c, refs, "first job")),
+        Err(e) => report.check(Some(format!("first job: {e}"))),
+    }
+    *dba += m.done_before_accepted;
+    (wire, server)
+}
+
+/// Runs the rest of `plan.warmup_jobs` jobs through the load daemon,
+/// untimed, every tenth one heavy. Returns the Done-before-Accepted
+/// races seen.
+fn warm_up(plan: &Plan, refs: &[u64], wire: &mut Wire, report: &mut Report) -> u64 {
+    let mut m = Matcher::default();
+    for i in 1..plan.warmup_jobs {
         let k = if plan.kinds.len() > 1 && i % 10 == 9 {
             1
         } else {
             0
         };
         let s = spec(&plan.kinds[k], TENANTS[i % 2]);
-        match round_trip(&mut wire, &mut m, k, &s, now_ns()) {
+        match round_trip(wire, &mut m, k, &s, now_ns()) {
             Ok(c) => report.check(check(&c, refs, &format!("warm-up job {i}"))),
             Err(e) => report.check(Some(format!("warm-up job {i}: {e}"))),
         }
     }
-    (server, m.done_before_accepted)
+    m.done_before_accepted
+}
+
+/// Timed daemon set-ups, and the races their first jobs saw.
+#[derive(Default)]
+struct SetUps {
+    times_s: Vec<f64>,
+    done_before_accepted: u64,
+}
+
+impl SetUps {
+    /// Times `n` set-ups, each daemon shut down before the next starts;
+    /// returns the last one, still up, with its connection.
+    fn run(
+        &mut self,
+        plan: &Plan,
+        refs: &[u64],
+        n: usize,
+        report: &mut Report,
+    ) -> Option<(Wire, Server)> {
+        let mut daemon = None;
+        for _ in 0..n {
+            drop(daemon.take());
+            let t0 = Instant::now();
+            daemon = Some(start_daemon(
+                plan,
+                refs,
+                &mut self.done_before_accepted,
+                report,
+            ));
+            self.times_s.push(t0.elapsed().as_secs_f64());
+        }
+        daemon
+    }
 }
 
 /// The correctness check of one served job.
@@ -393,6 +442,18 @@ fn check(c: &Completion, refs: &[u64], what: &str) -> Option<String> {
 }
 
 pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report) -> ServeRaw {
+    // the daemon leaks a descriptor per connection (README.md, "Known
+    // defects"): fail early and clearly if the quota cannot fit
+    let quota = (plan.closed.as_secs_f64() * RECONNECTS_PER_S).round() as usize;
+    let need = crate::common::open_fds() + quota + FD_HEADROOM;
+    if let Some(limit) = crate::common::open_files_limit().filter(|&l| l < need) {
+        eprintln!(
+            "easybench: the serve load needs about {need} open files, but the soft \
+             RLIMIT_NOFILE is {limit}; run.py raises it to the hard limit, so raise \
+             the hard limit (ulimit -Hn) to at least {need}"
+        );
+        std::process::exit(1);
+    }
     // references: every served digest must equal an in-process run
     let reg = ezp_kernels::registry();
     let refs: Vec<u64> = plan
@@ -402,17 +463,17 @@ pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report)
         .collect();
     let mut rng = Rng::seed(seed);
 
-    // set-up: start the daemon and warm it up, several times; the last
-    // daemon stays up
-    let mut setups_s = Vec::new();
-    let mut daemon = None;
-    for _ in 0..plan.setups.max(1) {
-        drop(daemon.take());
-        let t0 = Instant::now();
-        daemon = Some(start_daemon(plan, &refs, report));
-        setups_s.push(t0.elapsed().as_secs_f64());
-    }
-    let (server, mut done_before_accepted) = daemon.expect("at least one set-up");
+    // set-up: start a daemon and run its first job, `plan.setups` times in
+    // three rounds (before, between and after the loops), so that one
+    // burst of machine noise cannot slow them all; the first round's last
+    // daemon is warmed up and carries the load
+    let rounds = setup_rounds(plan.setups);
+    let mut setups = SetUps::default();
+    let (mut wire, server) = setups
+        .run(plan, &refs, rounds[0], report)
+        .expect("at least one set-up");
+    let mut done_before_accepted = warm_up(plan, &refs, &mut wire, report);
+    drop(wire);
     let addr = server.addr();
 
     // the sequential path: the same jobs computed in-process
@@ -441,7 +502,6 @@ pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report)
     // closed loop: a persistent and a reconnecting client, until the
     // reconnecting one has made its quota of connections (a fixed count,
     // so the leaked descriptors and threads are the same every run)
-    let quota = (plan.closed.as_secs_f64() * RECONNECTS_PER_S).round() as usize;
     let cap = Instant::now() + plan.closed * 3;
     let stop = AtomicBool::new(false);
     let t_closed = Instant::now();
@@ -481,6 +541,8 @@ pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report)
         report.check(check(c, &refs, &format!("closed-loop job {i}")));
     }
 
+    drop(setups.run(plan, &refs, rounds[1], report));
+
     // open loop: one connection, a sender and a receiver thread
     let (open, gen_lag_ms, dba, errs) = open_loop(plan, addr, rng.next_u64(), tracer);
     done_before_accepted += dba;
@@ -507,8 +569,9 @@ pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report)
     };
     let fds_leaked = crate::common::open_fds() as f64 - fds_before as f64;
     let summary = server.shutdown();
+    drop(setups.run(plan, &refs, rounds[2], report));
     ServeRaw {
-        setups_s,
+        setups_s: setups.times_s,
         seq_ms,
         closed,
         closed_start_ns,
@@ -516,7 +579,7 @@ pub fn run(plan: &Plan, seed: u64, tracer: Option<&Tracer>, report: &mut Report)
         connect_ms,
         open,
         gen_lag_ms,
-        done_before_accepted,
+        done_before_accepted: done_before_accepted + setups.done_before_accepted,
         stats,
         mux: summary.mux,
         fds_leaked,
@@ -529,6 +592,10 @@ type ClientResult = (Vec<Completion>, Vec<f64>, u64, Vec<String>);
 /// Connections per second of the closed-loop budget the reconnecting
 /// client makes (4000 at `--seconds 25`).
 const RECONNECTS_PER_S: f64 = 400.0;
+
+/// Descriptors beyond the reconnect quota a serve run may hold: the
+/// daemon's listener and runners, the clients' own connections.
+const FD_HEADROOM: usize = 256;
 
 /// One closed-loop client's part.
 struct Closed<'a> {

@@ -140,28 +140,24 @@ impl Tracer {
 }
 
 /// The benchmark's probe: brackets every tile (`start_tile` →
-/// `end_tile`) per worker, records the tile as a span while `spans` is
-/// on, counts its own calls, and forwards everything to an
-/// `ezp_perf::PerfProbe` so the runtime's own counters (idle causes,
-/// steals, parks) come along.
+/// `end_tile`) per worker, records the tile as a span, counts its own
+/// calls, and forwards everything to an `ezp_perf::PerfProbe` so the
+/// runtime's own counters (idle causes, steals, parks) come along.
 pub struct TileProbe {
     pub tracer: Arc<Tracer>,
     pub perf: Arc<PerfProbe>,
     /// Operation id stamped on the recorded tile spans.
     pub id: u64,
-    /// Record tile spans.
-    pub spans: bool,
     starts: Vec<AtomicU64>,
     events: AtomicU64,
 }
 
 impl TileProbe {
-    pub fn new(tracer: Arc<Tracer>, workers: usize, id: u64, spans: bool) -> TileProbe {
+    pub fn new(tracer: Arc<Tracer>, workers: usize, id: u64) -> TileProbe {
         TileProbe {
             tracer,
             perf: Arc::new(PerfProbe::new(workers)),
             id,
-            spans,
             starts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             events: AtomicU64::new(0),
         }
@@ -195,9 +191,7 @@ impl Probe for TileProbe {
         let end = now_ns();
         self.count();
         let start = self.starts[worker].load(Ordering::Relaxed);
-        if self.spans {
-            self.tracer.record("tile", worker, self.id, start, end);
-        }
+        self.tracer.record("tile", worker, self.id, start, end);
         self.perf.end_tile(x, y, w, h, worker);
     }
     fn runtime_event(&self, worker: WorkerId, event: RuntimeEvent) {
