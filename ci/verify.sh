@@ -63,6 +63,10 @@ echo "verify: ezp-lint clean"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo build --benches --offline
+# The end-to-end benchmark is its own workspace (easybench/) and imports
+# public names of ezp-kernels and ezp-sched; build it here so an API
+# break fails verification rather than the benchmark run.
+cargo build --release --offline --manifest-path easybench/Cargo.toml
 
 # Tier 2: deterministic concurrency checking (see docs/testing.md).
 # The ezp-check feature compiles the virtual-scheduler executor and the

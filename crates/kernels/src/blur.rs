@@ -9,9 +9,9 @@
 //! auto-vectorize — the ×10 per-task speedup of Fig. 10. Both variants
 //! produce bit-identical images (property-tested below).
 
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{run_variant, Driver, TileWriter};
 
 /// Average of the up-to-9 neighbours of `(x, y)`, with bounds checks —
 /// the "poor performance" branchy version that is nonetheless correct
@@ -75,69 +75,24 @@ pub fn tile_cost(tile: Tile, dim: usize, border_penalty: u64) -> u64 {
 #[derive(Default)]
 pub struct Blur;
 
-impl Blur {
-    fn blur_tile_checked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
-        let t = w.tile();
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                w.set(x, y, blur_pixel_checked(src, x, y));
-            }
+/// Blurs the writer's tile with [`blur_pixel_checked`].
+fn blur_tile_checked(src: &Img2D<Rgba>, w: &mut TileWriter<'_, '_, Rgba>) {
+    let t = w.tile();
+    for y in t.y..t.y + t.h {
+        for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+            *p = blur_pixel_checked(src, t.x + i, y);
         }
     }
+}
 
-    fn blur_tile_unchecked(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
-        let t = w.tile();
-        for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
-                w.set(x, y, blur_pixel_unchecked(src, x, y));
-            }
+/// Blurs the writer's tile with [`blur_pixel_unchecked`]; the tile must
+/// be inner.
+fn blur_tile_unchecked(src: &Img2D<Rgba>, w: &mut TileWriter<'_, '_, Rgba>) {
+    let t = w.tile();
+    for y in t.y..t.y + t.h {
+        for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+            *p = blur_pixel_unchecked(src, t.x + i, y);
         }
-    }
-
-    fn compute_seq(&self, ctx: &mut KernelCtx, nb_iter: u32) {
-        let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            {
-                let (src, dst) = ctx.images.rw();
-                for y in 0..dim {
-                    for x in 0..dim {
-                        dst.set(x, y, blur_pixel_checked(src, x, y));
-                    }
-                }
-            }
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            ctx.images.swap();
-            ctx.probe.iteration_end(it);
-        }
-    }
-
-    /// Parallel tiled blur; `specialized` switches the inner tiles to the
-    /// branch-free loop (the paper's optimization).
-    fn compute_tiled(&self, ctx: &mut KernelCtx, nb_iter: u32, specialized: bool) -> Result<()> {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            {
-                let (src, dst) = ctx.images.rw();
-                let cell = ImgCell::new(dst);
-                parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |tile, _| {
-                    let w = cell.tile_writer(tile);
-                    if specialized && tile_is_inner(&tile, dim) {
-                        Self::blur_tile_unchecked(src, &w);
-                    } else {
-                        Self::blur_tile_checked(src, &w);
-                    }
-                });
-            }
-            ctx.images.swap();
-            ctx.probe.iteration_end(it);
-        }
-        Ok(())
     }
 }
 
@@ -164,18 +119,28 @@ impl Kernel for Blur {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => self.compute_seq(ctx, nb_iter),
-            "omp_tiled" => self.compute_tiled(ctx, nb_iter, false)?,
-            "omp_tiled_opt" => self.compute_tiled(ctx, nb_iter, true)?,
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "blur".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        // `specialized` switches the inner tiles to the branch-free loop
+        // (the paper's optimization)
+        let (driver, specialized) = match variant {
+            "seq" => (Driver::Seq, false),
+            "omp_tiled" => (Driver::OmpTiled, false),
+            "omp_tiled_opt" => (Driver::OmpTiled, true),
+            other => return Err(crate::unknown_variant("blur", other)),
+        };
+        let dim = ctx.dim();
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (src, dst) = images.rw();
+            sweep.tiles(dst, &|w| {
+                if specialized && tile_is_inner(&w.tile(), dim) {
+                    blur_tile_unchecked(src, w);
+                } else {
+                    blur_tile_checked(src, w);
+                }
+                true
+            });
+            images.swap();
+            true
+        })
     }
 }
 

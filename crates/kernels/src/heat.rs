@@ -10,8 +10,7 @@
 use ezp_core::color::heat_color;
 use ezp_core::error::{Error, Result};
 use ezp_core::{Img2D, Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles_img, ImgCell};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ezp_sched::{run_variant, Driver, TileWriter};
 
 /// Diffusion coefficient (stability requires `k <= 0.25`).
 const K: f32 = 0.2;
@@ -57,16 +56,17 @@ impl Heat {
         self.cur.as_slice().iter().map(|&t| t as f64).sum()
     }
 
-    fn step_tile(cur: &Img2D<f32>, w: &ezp_sched::TileWriter<'_, '_, f32>) -> bool {
+    /// The tile function: one Jacobi step of the writer's tile; true
+    /// when some pixel moved by more than [`EPSILON`].
+    fn step_tile(cur: &Img2D<f32>, w: &mut TileWriter<'_, '_, f32>) -> bool {
         let t = w.tile();
         let mut changed = false;
         for y in t.y..t.y + t.h {
-            for x in t.x..t.x + t.w {
+            for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+                let x = t.x + i;
                 let v = diffuse(cur, x, y);
-                if (v - cur.get(x, y)).abs() > EPSILON {
-                    changed = true;
-                }
-                w.set(x, y, v);
+                changed |= (v - cur.get(x, y)).abs() > EPSILON;
+                *p = v;
             }
         }
         changed
@@ -109,64 +109,17 @@ impl Kernel for Heat {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let grid = ctx.grid;
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let mut changed = false;
-                    {
-                        let cell = ImgCell::new(&mut self.next);
-                        for t in grid.iter() {
-                            ctx.probe.start_tile(0);
-                            if Self::step_tile(&self.cur, &cell.tile_writer(t)) {
-                                changed = true;
-                            }
-                            ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                        }
-                    }
-                    std::mem::swap(&mut self.cur, &mut self.next);
-                    ctx.probe.iteration_end(it);
-                    if !changed {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            "omp_tiled" => {
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let changed = AtomicBool::new(false);
-                    {
-                        let cur = &self.cur;
-                        parallel_for_tiles_img(
-                            &mut pool,
-                            &grid,
-                            schedule,
-                            &*ctx.probe,
-                            &mut self.next,
-                            |w, _| {
-                                if Self::step_tile(cur, w) {
-                                    changed.store(true, Ordering::Relaxed);
-                                }
-                            },
-                        );
-                    }
-                    std::mem::swap(&mut self.cur, &mut self.next);
-                    ctx.probe.iteration_end(it);
-                    if !changed.load(Ordering::Relaxed) {
-                        return Ok(Some(it));
-                    }
-                }
-                Ok(None)
-            }
-            other => Err(Error::UnknownKernel {
-                kernel: "heat".into(),
-                variant: other.into(),
-            }),
-        }
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("heat", other)),
+        };
+        run_variant(ctx, driver, nb_iter, |sweep, _| {
+            let cur = &self.cur;
+            let changed = sweep.tiles(&mut self.next, &|w| Self::step_tile(cur, w));
+            std::mem::swap(&mut self.cur, &mut self.next);
+            changed
+        })
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

@@ -2,10 +2,10 @@
 //! "hello world" of EASYPAP variants, embarrassingly parallel and
 //! memory-bound.
 
-use ezp_core::error::{Error, Result};
-use ezp_core::{Kernel, KernelCtx, Rgba, TileGrid};
+use ezp_core::error::Result;
+use ezp_core::{Kernel, KernelCtx, Rgba};
 use ezp_gpu::{NdRange, VirtualDevice};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{run_variant, Driver};
 
 /// RGB complement, alpha preserved.
 #[inline]
@@ -32,62 +32,43 @@ impl Kernel for Invert {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            // row-shaped tiles, like `#pragma omp parallel for` over lines
+            "omp" => Driver::Omp,
+            "gpu" => return self.compute_gpu(ctx, nb_iter).map(|()| None),
+            other => return Err(crate::unknown_variant("invert", other)),
+        };
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            sweep.tiles(images.cur_mut(), &|w| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    for p in w.row_mut(y) {
+                        *p = invert_pixel(*p);
+                    }
+                }
+                true
+            })
+        })
+    }
+}
+
+impl Invert {
+    /// OpenCL-style variant on the virtual device.
+    fn compute_gpu(&self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<()> {
         let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    ctx.images.cur_mut().for_each_mut(|_, _, p| *p = invert_pixel(*p));
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp" => {
-                // row-shaped tiles, like `#pragma omp parallel for` over lines
-                let grid = TileGrid::new(dim, dim, dim, 1)?;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    parallel_for_tiles_img(
-                        &mut pool,
-                        &grid,
-                        schedule,
-                        &*ctx.probe,
-                        ctx.images.cur_mut(),
-                        |w, _| {
-                            let t = w.tile();
-                            for x in t.x..t.x + t.w {
-                                w.set(x, t.y, invert_pixel(w.get(x, t.y)));
-                            }
-                        },
-                    );
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "gpu" => {
-                let device = VirtualDevice::new(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    let range = NdRange {
-                        global: (dim, dim),
-                        local: (ctx.cfg.tile_size, ctx.cfg.tile_size),
-                    };
-                    let (out, _) =
-                        device.launch(range, ctx.images.cur(), |x, y, src| invert_pixel(src.get(x, y)))?;
-                    ctx.images.cur_mut().copy_from(&out);
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "invert".into(),
-                    variant: other.into(),
-                })
-            }
+        let device = VirtualDevice::new(ctx.threads());
+        for it in 1..=nb_iter {
+            ctx.probe.iteration_start(it);
+            let range = NdRange {
+                global: (dim, dim),
+                local: (ctx.cfg.tile_size, ctx.cfg.tile_size),
+            };
+            let (out, _) = device.launch(range, ctx.images.cur(), |x, y, src| invert_pixel(src.get(x, y)))?;
+            ctx.images.cur_mut().copy_from(&out);
+            ctx.probe.iteration_end(it);
         }
-        Ok(None)
+        Ok(())
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! | kernel | §      | variants |
 //! |--------|--------|----------|
-//! | [`mandel`]    | III-A | `seq`, `tiled`, `omp`, `omp_tiled`, `gpu` |
+//! | [`mandel`]    | III-A | `seq`, `tiled`, `omp`, `omp_tiled`, `omp_tiled_x4` (4-lane escape loop), `gpu` |
 //! | [`blur`]      | III-B | `seq`, `omp_tiled` (border tests everywhere), `omp_tiled_opt` (specialized inner tiles) |
 //! | [`life`]      | III-D | `seq`, `omp_tiled`, `lazy`, `mpi_omp` — bit-packed low-memory boards |
 //! | [`ccomp`]     | III-C | `seq`, `taskdep` (OpenMP-style task dependencies, Fig. 11) |
@@ -18,7 +18,13 @@
 //! | [`transpose`] | II-A  | `seq`, `omp_tiled` |
 //! | [`invert`]    | II-A  | `seq`, `omp`, `gpu` |
 //! | [`pixelize`]  | II-A  | `seq`, `omp_tiled` |
-//! | [`spin`]      | II-A  | `seq`, `omp` — compute-bound trigonometry |
+//! | [`spin`]      | II-A  | `seq`, `omp_tiled` — compute-bound trigonometry |
+//!
+//! A kernel writes its work once, as a tile function, and maps its
+//! `seq`/`tiled`/`omp`/`omp_tiled` variants onto the framework's
+//! drivers ([`ezp_sched::run_variant`]); only `ccomp`'s `taskdep`,
+//! `life`'s `lazy`/`mpi_omp`, `sandpile`'s `async`, and the `gpu`
+//! variants drive their own loops.
 //!
 //! Variant names keep the paper's OpenMP-flavoured spelling (`omp`,
 //! `omp_tiled`...) even though the runtime is this workspace's own
@@ -45,7 +51,15 @@ pub mod shapes;
 pub mod spin;
 pub mod transpose;
 
-use ezp_core::Registry;
+use ezp_core::{Error, Registry};
+
+/// The error of a `compute` call naming a variant the kernel lacks.
+fn unknown_variant(kernel: &str, variant: &str) -> Error {
+    Error::UnknownKernel {
+        kernel: kernel.into(),
+        variant: variant.into(),
+    }
+}
 
 /// Builds the registry of every predefined kernel — the equivalent of
 /// linking all kernels into the `easypap` binary.

@@ -11,9 +11,9 @@
 
 use ezp_core::color::mandel_color;
 use ezp_core::error::{Error, Result};
-use ezp_core::{Kernel, KernelCtx, Rgba, Tile, TileGrid};
+use ezp_core::{Kernel, KernelCtx, Rgba, Tile};
 use ezp_gpu::{NdRange, VirtualDevice};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{run_variant, Driver};
 
 /// Default escape-time iteration cap. Large enough to show the black
 /// interior, small enough for laptop-scale runs.
@@ -156,6 +156,10 @@ pub fn tile_cost(view: &Viewport, tile: Tile, dim: usize, max_iter: u32) -> u64 
     total
 }
 
+/// The row function of a CPU variant: [`mandel_row`] or
+/// [`mandel_row_x4`].
+type MandelRow = fn(&mut [Rgba], usize, usize, &Viewport, usize, u32);
+
 /// The Mandelbrot kernel state.
 pub struct Mandel {
     /// Current viewport (zooms every iteration).
@@ -173,144 +177,44 @@ impl Default for Mandel {
     }
 }
 
+/// One tile row of the escape-time image: `row[i]` is pixel
+/// `(x0 + i, y)`. Kept out of line so that every driver and both call
+/// sites (the `seq` image and the `omp_tiled` tiles) run this one
+/// compiled loop; inlined into the pool's region closure, LLVM packed
+/// `(zx, zy)` into one SSE register and the escape loop paid shuffles on
+/// every iteration.
+#[inline(never)]
+fn mandel_row(row: &mut [Rgba], x0: usize, y: usize, view: &Viewport, dim: usize, max_iter: u32) {
+    for (i, px) in row.iter_mut().enumerate() {
+        let (cx, cy) = view.pixel_to_complex(x0 + i, y, dim);
+        *px = mandel_color(escape_iterations(cx, cy, max_iter), max_iter);
+    }
+}
+
+/// [`mandel_row`] four pixels at a time through
+/// [`escape_iterations_x4`], with a scalar tail — the lane-parallel inner
+/// loop a SIMD/intrinsics port would use (the paper's "intrinsics
+/// instructions" paradigm). Produces the exact pixels of the scalar row.
+#[inline(never)]
+fn mandel_row_x4(row: &mut [Rgba], x0: usize, y: usize, view: &Viewport, dim: usize, max_iter: u32) {
+    let mut quads = row.chunks_exact_mut(4);
+    let mut x = x0;
+    for quad in &mut quads {
+        let mut cx = [0.0; 4];
+        let mut cy = [0.0; 4];
+        for l in 0..4 {
+            (cx[l], cy[l]) = view.pixel_to_complex(x + l, y, dim);
+        }
+        let iters = escape_iterations_x4(cx, cy, max_iter);
+        for (px, n) in quad.iter_mut().zip(iters) {
+            *px = mandel_color(n, max_iter);
+        }
+        x += 4;
+    }
+    mandel_row(quads.into_remainder(), x, y, view, dim, max_iter);
+}
+
 impl Mandel {
-    #[inline]
-    fn color_at(&self, x: usize, y: usize, dim: usize) -> Rgba {
-        let (cx, cy) = self.view.pixel_to_complex(x, y, dim);
-        mandel_color(escape_iterations(cx, cy, self.max_iter), self.max_iter)
-    }
-
-    /// `mandel_compute_seq` (paper Fig. 1): plain nested loops.
-    fn compute_seq(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
-        let dim = ctx.dim();
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            ctx.probe.start_tile(0);
-            for y in 0..dim {
-                for x in 0..dim {
-                    let c = self.color_at(x, y, dim);
-                    ctx.images.cur_mut().set(x, y, c);
-                }
-            }
-            ctx.probe.end_tile(0, 0, dim, dim, 0);
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-    }
-
-    /// Sequential tiled variant: same computation, per-tile monitoring.
-    fn compute_tiled(&mut self, ctx: &mut KernelCtx, nb_iter: u32) {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            for tile in grid.iter() {
-                ctx.probe.start_tile(0);
-                for y in tile.y..tile.y + tile.h {
-                    for x in tile.x..tile.x + tile.w {
-                        let c = self.color_at(x, y, dim);
-                        ctx.images.cur_mut().set(x, y, c);
-                    }
-                }
-                ctx.probe.end_tile(tile.x, tile.y, tile.w, tile.h, 0);
-            }
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-    }
-
-    /// `mandel_compute_omp_tiled` (paper Fig. 2): a parallel scheduled
-    /// loop over tiles per iteration, `zoom()` in a single region.
-    /// `row_tiles` makes tiles row-shaped — the plain `omp` variant.
-    fn compute_parallel(&mut self, ctx: &mut KernelCtx, nb_iter: u32, row_tiles: bool) -> Result<()> {
-        let dim = ctx.dim();
-        let grid = if row_tiles {
-            TileGrid::new(dim, dim, dim, 1)?
-        } else {
-            ctx.grid
-        };
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        let schedule = ctx.cfg.schedule;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let view = self.view; // copy for the workers
-            let max_iter = self.max_iter;
-            parallel_for_tiles_img(
-                &mut pool,
-                &grid,
-                schedule,
-                &*ctx.probe,
-                ctx.images.cur_mut(),
-                |w, _rank| {
-                    let t = w.tile();
-                    for y in t.y..t.y + t.h {
-                        for x in t.x..t.x + t.w {
-                            let (cx, cy) = view.pixel_to_complex(x, y, dim);
-                            let c = mandel_color(escape_iterations(cx, cy, max_iter), max_iter);
-                            w.set(x, y, c);
-                        }
-                    }
-                },
-            );
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-        Ok(())
-    }
-
-    /// Four-pixel-at-a-time tiled variant — the lane-parallel inner loop
-    /// a SIMD/intrinsics port would use, teaching the same lesson as the
-    /// paper's "intrinsics instructions" paradigm. Produces the exact
-    /// image of the scalar variants.
-    fn compute_parallel_x4(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<()> {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        let schedule = ctx.cfg.schedule;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let view = self.view;
-            let max_iter = self.max_iter;
-            parallel_for_tiles_img(
-                &mut pool,
-                &grid,
-                schedule,
-                &*ctx.probe,
-                ctx.images.cur_mut(),
-                |w, _rank| {
-                    let t = w.tile();
-                    for y in t.y..t.y + t.h {
-                        let mut x = t.x;
-                        // 4-wide main loop
-                        while x + 4 <= t.x + t.w {
-                            let mut cx = [0.0; 4];
-                            let mut cy = [0.0; 4];
-                            for l in 0..4 {
-                                let (a, b) = view.pixel_to_complex(x + l, y, dim);
-                                cx[l] = a;
-                                cy[l] = b;
-                            }
-                            let iters = escape_iterations_x4(cx, cy, max_iter);
-                            for (l, &n) in iters.iter().enumerate() {
-                                w.set(x + l, y, mandel_color(n, max_iter));
-                            }
-                            x += 4;
-                        }
-                        // scalar tail
-                        while x < t.x + t.w {
-                            let (a, b) = view.pixel_to_complex(x, y, dim);
-                            w.set(x, y, mandel_color(escape_iterations(a, b, max_iter), max_iter));
-                            x += 1;
-                        }
-                    }
-                },
-            );
-            self.view.zoom();
-            ctx.probe.iteration_end(it);
-        }
-        Ok(())
-    }
-
     /// OpenCL-style variant on the virtual device (one work-item per
     /// pixel, work-groups = tiles).
     fn compute_gpu(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<()> {
@@ -356,29 +260,35 @@ impl Kernel for Mandel {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => self.compute_seq(ctx, nb_iter),
-            "tiled" => self.compute_tiled(ctx, nb_iter),
-            "omp" => self.compute_parallel(ctx, nb_iter, true)?,
-            "omp_tiled" => self.compute_parallel(ctx, nb_iter, false)?,
-            "omp_tiled_x4" => self.compute_parallel_x4(ctx, nb_iter)?,
-            "gpu" => self.compute_gpu(ctx, nb_iter)?,
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "mandel".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        let (driver, row): (Driver, MandelRow) = match variant {
+            "seq" => (Driver::Seq, mandel_row),
+            "tiled" => (Driver::Tiled, mandel_row),
+            "omp" => (Driver::Omp, mandel_row),
+            "omp_tiled" => (Driver::OmpTiled, mandel_row),
+            "omp_tiled_x4" => (Driver::OmpTiled, mandel_row_x4),
+            "gpu" => return self.compute_gpu(ctx, nb_iter).map(|()| None),
+            other => return Err(crate::unknown_variant("mandel", other)),
+        };
+        let dim = ctx.dim();
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (view, max_iter) = (self.view, self.max_iter);
+            sweep.tiles(images.cur_mut(), &|w| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    row(w.row_mut(y), t.x, y, &view, dim, max_iter);
+                }
+                true
+            });
+            self.view.zoom();
+            true
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ezp_core::RunConfig;
-    use ezp_core::Schedule;
+    use ezp_core::{RunConfig, Schedule, TileGrid};
 
     fn ctx(dim: usize, tile: usize, threads: usize) -> KernelCtx {
         KernelCtx::new(

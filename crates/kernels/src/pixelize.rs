@@ -2,9 +2,9 @@
 //! average color — a mosaic effect where the tile grid itself *is* the
 //! visual output, making `--tile-size` effects directly visible.
 
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba, Tile};
-use ezp_sched::{parallel_for_tiles_img, ImgCell};
+use ezp_sched::{run_variant, Driver, TileWriter};
 
 /// Average color of `tile` in `img`.
 pub fn tile_average(img: &Img2D<Rgba>, tile: Tile) -> Rgba {
@@ -22,14 +22,17 @@ pub fn tile_average(img: &Img2D<Rgba>, tile: Tile) -> Rgba {
     Rgba::new((r / n) as u8, (g / n) as u8, (b / n) as u8, (a / n) as u8)
 }
 
-fn pixelize_tile(src: &Img2D<Rgba>, w: &ezp_sched::TileWriter<'_, '_, Rgba>) {
+fn pixelize_tile(src: &Img2D<Rgba>, w: &mut TileWriter<'_, '_, Rgba>) -> bool {
     let t = w.tile();
     let avg = tile_average(src, t);
+    // per-pixel `set`: `row_mut(y).fill(avg)` measured 5-12% slower at
+    // two threads (EXPERIMENTS.md, "Variant drivers")
     for y in t.y..t.y + t.h {
         for x in t.x..t.x + t.w {
             w.set(x, y, avg);
         }
     }
+    true
 }
 
 /// The pixelize kernel.
@@ -51,47 +54,18 @@ impl Kernel for Pixelize {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let grid = ctx.grid;
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        for t in grid.iter() {
-                            ctx.probe.start_tile(0);
-                            pixelize_tile(src, &cell.tile_writer(t));
-                            ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                        }
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            "omp_tiled" => {
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        parallel_for_tiles_img(&mut pool, &grid, schedule, &*ctx.probe, dst, |w, _| {
-                            pixelize_tile(src, w);
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "pixelize".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+        // the tile grid is the effect, so even `seq` walks the tiles
+        let driver = match variant {
+            "seq" => Driver::Tiled,
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("pixelize", other)),
+        };
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (src, dst) = images.rw();
+            sweep.tiles(dst, &|w| pixelize_tile(src, w));
+            images.swap();
+            true
+        })
     }
 }
 

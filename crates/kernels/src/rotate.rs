@@ -2,9 +2,9 @@
 //! clockwise per iteration. Like `transpose`, its parallel interest is
 //! the mismatch between read and write tile footprints.
 
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{run_variant, Driver};
 
 /// The rotate90 kernel.
 #[derive(Default)]
@@ -25,55 +25,26 @@ impl Kernel for Rotate90 {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("rotate90", other)),
+        };
         let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        for y in 0..dim {
-                            for x in 0..dim {
-                                dst.set(x, y, src.get(y, dim - 1 - x));
-                            }
-                        }
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (src, dst) = images.rw();
+            sweep.tiles(dst, &|w| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+                        *p = src.get(y, dim - 1 - (t.x + i));
                     }
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
                 }
-            }
-            "omp_tiled" => {
-                let grid = ctx.grid;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |t, _| {
-                            let w = cell.tile_writer(t);
-                            for y in t.y..t.y + t.h {
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, src.get(y, dim - 1 - x));
-                                }
-                            }
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "rotate90".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+                true
+            });
+            images.swap();
+            true
+        })
     }
 }
 

@@ -9,17 +9,20 @@
 
 use ezp_core::error::{Error, Result};
 use ezp_core::{Img2D, Kernel, KernelCtx, Rgba};
-use ezp_sched::parallel_for_tiles_img;
+use ezp_sched::{run_variant, Driver, TileWriter};
 
-/// Synchronous sandpile step of one tile: `next = cur - 4*(cur>=4) +
-/// incoming topples`. Returns true when the tile changed.
-fn step_tile(cur: &Img2D<u32>, w: &ezp_sched::TileWriter<'_, '_, u32>) -> bool {
+/// The tile function: one synchronous sandpile step of the writer's
+/// tile, `next = cur - 4*(cur>=4) + incoming topples`. Returns true when
+/// the tile changed.
+fn step_tile(cur: &Img2D<u32>, w: &mut TileWriter<'_, '_, u32>) -> bool {
     let t = w.tile();
     let (width, height) = (cur.width(), cur.height());
     let mut changed = false;
     for y in t.y..t.y + t.h {
-        for x in t.x..t.x + t.w {
-            let mut v = cur.get(x, y);
+        for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+            let x = t.x + i;
+            let old = cur.get(x, y);
+            let mut v = old;
             if v >= 4 {
                 v -= 4;
             }
@@ -37,10 +40,8 @@ fn step_tile(cur: &Img2D<u32>, w: &ezp_sched::TileWriter<'_, '_, u32>) -> bool {
                 incoming += 1;
             }
             let new = v + incoming;
-            if new != cur.get(x, y) {
-                changed = true;
-            }
-            w.set(x, y, new);
+            changed |= new != old;
+            *p = new;
         }
     }
     changed
@@ -81,32 +82,6 @@ impl Sandpile {
     /// True when no cell can topple.
     pub fn is_stable(&self) -> bool {
         self.cur.as_slice().iter().all(|&v| v < 4)
-    }
-
-    fn compute_seq(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
-        let dim = ctx.dim();
-        let grid = ctx.grid;
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let mut changed = false;
-            {
-                let cell = ezp_sched::ImgCell::new(&mut self.next);
-                for t in grid.iter() {
-                    ctx.probe.start_tile(0);
-                    if step_tile(&self.cur, &cell.tile_writer(t)) {
-                        changed = true;
-                    }
-                    ctx.probe.end_tile(t.x, t.y, t.w, t.h, 0);
-                }
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            let _ = dim;
-            if !changed {
-                return Some(it);
-            }
-        }
-        None
     }
 
     /// Asynchronous (Gauss-Seidel) toppling: cells topple *in place*
@@ -151,37 +126,6 @@ impl Sandpile {
         }
         None
     }
-
-    fn compute_tiled(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Option<u32> {
-        let grid = ctx.grid;
-        let schedule = ctx.cfg.schedule;
-        let mut pool = ezp_sched::acquire_pool(ctx.threads());
-        for it in 1..=nb_iter {
-            ctx.probe.iteration_start(it);
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            {
-                let cur = &self.cur;
-                parallel_for_tiles_img(
-                    &mut pool,
-                    &grid,
-                    schedule,
-                    &*ctx.probe,
-                    &mut self.next,
-                    |w, _| {
-                        if step_tile(cur, w) {
-                            changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    },
-                );
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.probe.iteration_end(it);
-            if !changed.load(std::sync::atomic::Ordering::Relaxed) {
-                return Some(it);
-            }
-        }
-        None
-    }
 }
 
 impl Kernel for Sandpile {
@@ -209,15 +153,18 @@ impl Kernel for Sandpile {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        match variant {
-            "seq" => Ok(self.compute_seq(ctx, nb_iter)),
-            "async" => Ok(self.compute_async(ctx, nb_iter)),
-            "omp_tiled" => Ok(self.compute_tiled(ctx, nb_iter)),
-            other => Err(Error::UnknownKernel {
-                kernel: "sandpile".into(),
-                variant: other.into(),
-            }),
-        }
+        let driver = match variant {
+            "seq" => Driver::Tiled,
+            "async" => return Ok(self.compute_async(ctx, nb_iter)),
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("sandpile", other)),
+        };
+        run_variant(ctx, driver, nb_iter, |sweep, _| {
+            let cur = &self.cur;
+            let changed = sweep.tiles(&mut self.next, &|w| step_tile(cur, w));
+            std::mem::swap(&mut self.cur, &mut self.next);
+            changed
+        })
     }
 
     fn refresh_image(&mut self, ctx: &mut KernelCtx) -> Result<()> {

@@ -2,9 +2,9 @@
 //! (wrapping) — EASYPAP's minimal animated kernel, the typical target
 //! of the very first hands-on session.
 
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{run_variant, Driver};
 
 /// The scrollup kernel.
 #[derive(Default)]
@@ -25,55 +25,25 @@ impl Kernel for Scrollup {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("scrollup", other)),
+        };
         let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        for y in 0..dim {
-                            let from = (y + 1) % dim;
-                            dst.row_mut(y).copy_from_slice(src.row(from));
-                        }
-                    }
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (src, dst) = images.rw();
+            sweep.tiles(dst, &|w| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    let from = &src.row((y + 1) % dim)[t.x..t.x + t.w];
+                    w.row_mut(y).copy_from_slice(from);
                 }
-            }
-            "omp_tiled" => {
-                let grid = ctx.grid;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |t, _| {
-                            let w = cell.tile_writer(t);
-                            for y in t.y..t.y + t.h {
-                                let from = (y + 1) % dim;
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, src.get(x, from));
-                                }
-                            }
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "scrollup".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+                true
+            });
+            images.swap();
+            true
+        })
     }
 }
 

@@ -5,9 +5,9 @@
 //! execution turns a strided full-image sweep into cache-friendly
 //! blocked accesses (which `ezp-cache` can quantify).
 
-use ezp_core::error::{Error, Result};
+use ezp_core::error::Result;
 use ezp_core::{Kernel, KernelCtx};
-use ezp_sched::{parallel_for_tiles, ImgCell};
+use ezp_sched::{run_variant, Driver};
 
 /// The transpose kernel.
 #[derive(Default)]
@@ -28,55 +28,25 @@ impl Kernel for Transpose {
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let dim = ctx.dim();
-        match variant {
-            "seq" => {
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    ctx.probe.start_tile(0);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        for y in 0..dim {
-                            for x in 0..dim {
-                                dst.set(x, y, src.get(y, x));
-                            }
-                        }
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            "omp_tiled" => Driver::OmpTiled,
+            other => return Err(crate::unknown_variant("transpose", other)),
+        };
+        run_variant(ctx, driver, nb_iter, |sweep, images| {
+            let (src, dst) = images.rw();
+            sweep.tiles(dst, &|w| {
+                let t = w.tile();
+                for y in t.y..t.y + t.h {
+                    for (i, p) in w.row_mut(y).iter_mut().enumerate() {
+                        *p = src.get(y, t.x + i);
                     }
-                    ctx.probe.end_tile(0, 0, dim, dim, 0);
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
                 }
-            }
-            "omp_tiled" => {
-                let grid = ctx.grid;
-                let schedule = ctx.cfg.schedule;
-                let mut pool = ezp_sched::acquire_pool(ctx.threads());
-                for it in 1..=nb_iter {
-                    ctx.probe.iteration_start(it);
-                    {
-                        let (src, dst) = ctx.images.rw();
-                        let cell = ImgCell::new(dst);
-                        parallel_for_tiles(&mut pool, &grid, schedule, &*ctx.probe, |t, _| {
-                            let w = cell.tile_writer(t);
-                            for y in t.y..t.y + t.h {
-                                for x in t.x..t.x + t.w {
-                                    w.set(x, y, src.get(y, x));
-                                }
-                            }
-                        });
-                    }
-                    ctx.images.swap();
-                    ctx.probe.iteration_end(it);
-                }
-            }
-            other => {
-                return Err(Error::UnknownKernel {
-                    kernel: "transpose".into(),
-                    variant: other.into(),
-                })
-            }
-        }
-        Ok(None)
+                true
+            });
+            images.swap();
+            true
+        })
     }
 }
 

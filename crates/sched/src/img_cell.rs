@@ -7,9 +7,18 @@
 //! stride-y 2D layout. [`ImgCell`] encapsulates the one `unsafe` spot:
 //! it erases a `&mut Img2D<T>` into a shared handle, and only exposes
 //! writes through [`TileWriter`], which bounds-checks every access
-//! against its tile rectangle. As long as each in-flight `TileWriter`
+//! against its tile rectangle (per pixel with `set`, per row with
+//! `row_mut`). As long as each in-flight `TileWriter`
 //! covers a distinct tile — which the dispensers guarantee by handing
 //! each tile out exactly once — all writes are disjoint.
+//!
+//! **Aliasing.** [`ImgCell::tile_writer`] is a safe function, yet two
+//! writers over one tile must never both be live, and no pixel may be
+//! read with [`ImgCell::get`] while a [`TileWriter::row_mut`] slice over
+//! it is live: either would be undefined behaviour, even on one thread.
+//! Framework code only takes writers from the driver
+//! (`crate::driver::Sweep::tiles`), whose cell is local and whose tile
+//! function only ever sees one writer per dispensed tile.
 
 use ezp_core::{Img2D, Tile};
 use std::cell::UnsafeCell;
@@ -124,6 +133,44 @@ impl<'c, 'a, T: Copy> TileWriter<'c, 'a, T> {
         }
     }
 
+    /// The tile's span of image row `y`: the `tile.w` pixels starting at
+    /// column `tile.x`, as one slice. The tile bounds are checked once
+    /// for the row instead of once per pixel as with [`TileWriter::set`].
+    /// Taking `&mut self` ties the slice to this writer, so it can alias
+    /// neither another row slice nor a `set` through the same writer.
+    ///
+    /// # Aliasing
+    ///
+    /// The `&mut self` borrow cannot see other writers: while the slice
+    /// lives, no second [`TileWriter`] over the same tile may exist and
+    /// no [`ImgCell::get`] may read the span (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when row `y` lies outside this writer's tile.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [T] {
+        assert!(
+            y >= self.tile.y && y < self.tile.y + self.tile.h,
+            "row {y} outside tile ({},{},{}x{})",
+            self.tile.x,
+            self.tile.y,
+            self.tile.w,
+            self.tile.h
+        );
+        // SAFETY: row y is one of the tile's rows (checked above) and the
+        // tile lies inside the image (checked by `tile_writer`), so the
+        // span is in bounds. Tiles of in-flight writers are disjoint (see
+        // type-level docs), and the `&mut self` borrow keeps this writer
+        // from handing out any other access to the span while it lives.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.cell.ptr().add(y * self.cell.width + self.tile.x),
+                self.tile.w,
+            )
+        }
+    }
+
     /// Reads pixel `(x, y)` from anywhere in the image (stencils read
     /// neighbours outside their own tile).
     #[inline]
@@ -211,6 +258,73 @@ mod tests {
                 for x in t.x..t.x + t.w {
                     assert_eq!(img.get(x, y), want);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn row_mut_spans_exactly_the_tile_row() {
+        let mut img: Img2D<u32> = Img2D::new(12, 8);
+        let grid = TileGrid::new(12, 8, 5, 3).unwrap();
+        {
+            let cell = ImgCell::new(&mut img);
+            let t = grid.tile(1, 1); // x 5..10, y 3..6
+            let mut w = cell.tile_writer(t);
+            for y in t.y..t.y + t.h {
+                let row = w.row_mut(y);
+                assert_eq!(row.len(), t.w);
+                for (i, p) in row.iter_mut().enumerate() {
+                    *p = (100 * y + t.x + i) as u32;
+                }
+            }
+            // ragged right-edge tile: the span is clipped like the tile
+            let edge = grid.tile(2, 2);
+            assert_eq!(cell.tile_writer(edge).row_mut(edge.y).len(), 2);
+        }
+        for y in 0..8 {
+            for x in 0..12 {
+                let inside = (5..10).contains(&x) && (3..6).contains(&y);
+                let want = if inside { (100 * y + x) as u32 } else { 0 };
+                assert_eq!(img.get(x, y), want, "pixel ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside tile")]
+    fn row_mut_outside_tile_panics() {
+        let mut img: Img2D<u32> = Img2D::square(8);
+        let grid = TileGrid::square(8, 4).unwrap();
+        let cell = ImgCell::new(&mut img);
+        let mut w = cell.tile_writer(grid.tile(0, 1)); // rows 4..8
+        w.row_mut(3);
+    }
+
+    #[test]
+    fn concurrent_disjoint_rows() {
+        let dim = 64;
+        let mut img: Img2D<u32> = Img2D::square(dim);
+        // one-row tiles, the grid of the `omp` driver
+        let grid = TileGrid::new(dim, dim, dim, 1).unwrap();
+        {
+            let cell = ImgCell::new(&mut img);
+            std::thread::scope(|s| {
+                for part in 0..4 {
+                    let (cell, grid) = (&cell, &grid);
+                    s.spawn(move || {
+                        for t in grid.iter().skip(part).step_by(4) {
+                            let mut w = cell.tile_writer(t);
+                            for (x, p) in w.row_mut(t.y).iter_mut().enumerate() {
+                                *p = (t.y * dim + x) as u32 + 1;
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        for y in 0..dim {
+            for x in 0..dim {
+                assert_eq!(img.get(x, y), (y * dim + x) as u32 + 1);
             }
         }
     }

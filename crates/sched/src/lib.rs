@@ -15,6 +15,8 @@
 //!   instrumentation built in (§II-B);
 //! * [`img_cell`] — the disjoint-tile shared-image wrapper that lets
 //!   worker threads write their own tiles of one image concurrently;
+//! * [`driver`] — the framework-owned `seq`/`tiled`/`omp`/`omp_tiled`
+//!   drivers that run a kernel's one tile function (Figs. 1–2);
 //! * [`taskgraph`] — OpenMP-style tasks with dependencies, used by the
 //!   connected-components wavefront of Fig. 11/12.
 //!
@@ -33,6 +35,7 @@
 
 pub mod deque;
 pub mod dispenser;
+pub mod driver;
 pub mod img_cell;
 pub mod mux;
 pub mod parallel;
@@ -45,11 +48,10 @@ pub mod vexec;
 
 pub use deque::{Steal, TaskDeque};
 pub use dispenser::{dispenser_for, Dispenser, StealStats};
+pub use driver::{run_variant, Driver, Sweep, TileFn};
 pub use img_cell::{ImgCell, TileWriter};
 pub use mux::{acquire_pool, MuxStats, PoolHandle, PoolLease, PoolMux};
-pub use parallel::{
-    parallel_for_range, parallel_for_range_probed, parallel_for_tiles, parallel_for_tiles_img,
-};
+pub use parallel::{parallel_for_range, parallel_for_range_probed, parallel_for_tiles};
 pub use park::{ParkLot, WaitStats};
 pub use pool::{PoolSyncStats, WorkerPool};
 pub use skeleton::{PipeShape, PipeStage};

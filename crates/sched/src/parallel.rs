@@ -15,11 +15,10 @@
 //! instrumentation EASYPAP asks students to insert by hand.
 
 use crate::dispenser::{dispenser_for, Dispenser};
-use crate::img_cell::{ImgCell, TileWriter};
 use crate::pool::WorkerPool;
 use ezp_core::kernel::{IdleCause, NullProbe, Probe, RuntimeEvent};
 use ezp_core::time::now_ns;
-use ezp_core::{Img2D, Schedule, Tile, TileGrid, WorkerId};
+use ezp_core::{Schedule, Tile, TileGrid, WorkerId};
 
 /// Runs `f(i, rank)` for every `i in 0..n`, scheduled by `schedule`
 /// over the pool's workers (`#pragma omp for schedule(...)`).
@@ -193,40 +192,6 @@ fn report_steals(probe: &dyn Probe, disp: &dyn Dispenser) {
     }
 }
 
-/// Tile-parallel write access to an image: `f` gets a bounds-checked
-/// [`TileWriter`] for its tile. This is the full `do_tile` idiom — the
-/// common body of `mandel`-style kernels that paint the current image in
-/// place.
-pub fn parallel_for_tiles_img<T: Copy + Send + Sync>(
-    pool: &mut WorkerPool,
-    grid: &TileGrid,
-    schedule: Schedule,
-    probe: &dyn Probe,
-    img: &mut Img2D<T>,
-    f: impl Fn(&TileWriter<'_, '_, T>, WorkerId) + Sync,
-) {
-    let cell = ImgCell::new(img);
-    parallel_for_tiles(pool, grid, schedule, probe, |tile, rank| {
-        let writer = cell.tile_writer(tile);
-        f(&writer, rank);
-    });
-}
-
-/// Sequential tile loop with the same instrumentation — the `seq`/
-/// `tiled` baseline variants, so that traces of sequential runs are
-/// comparable in EASYVIEW.
-pub fn sequential_for_tiles(
-    grid: &TileGrid,
-    probe: &dyn Probe,
-    mut f: impl FnMut(Tile),
-) {
-    for tile in grid.iter() {
-        probe.start_tile(0);
-        f(tile);
-        probe.end_tile(tile.x, tile.y, tile.w, tile.h, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,50 +260,6 @@ mod tests {
         assert_eq!(probe.starts.load(Ordering::Relaxed), 6);
         assert_eq!(probe.ends.load(Ordering::Relaxed), 6);
         assert_eq!(probe.pixels.load(Ordering::Relaxed), 240); // 20*12
-    }
-
-    #[test]
-    fn tiles_img_paints_disjointly() {
-        let mut pool = WorkerPool::new(4);
-        let grid = TileGrid::square(64, 16).unwrap();
-        let mut img: Img2D<u32> = Img2D::square(64);
-        parallel_for_tiles_img(
-            &mut pool,
-            &grid,
-            Schedule::NonmonotonicDynamic(1),
-            &NullProbe,
-            &mut img,
-            |w, _| {
-                let t = w.tile();
-                for y in t.y..t.y + t.h {
-                    for x in t.x..t.x + t.w {
-                        w.set(x, y, (x + 64 * y) as u32);
-                    }
-                }
-            },
-        );
-        for y in 0..64 {
-            for x in 0..64 {
-                assert_eq!(img.get(x, y), (x + 64 * y) as u32);
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_for_tiles_uses_rank_zero() {
-        struct RankCheck(AtomicUsize);
-        impl Probe for RankCheck {
-            fn start_tile(&self, w: WorkerId) {
-                assert_eq!(w, 0);
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let probe = RankCheck(AtomicUsize::new(0));
-        let grid = TileGrid::square(16, 4).unwrap();
-        let mut seen = 0;
-        sequential_for_tiles(&grid, &probe, |_| seen += 1);
-        assert_eq!(seen, 16);
-        assert_eq!(probe.0.load(Ordering::Relaxed), 16);
     }
 
     #[test]

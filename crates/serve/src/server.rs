@@ -17,7 +17,9 @@
 //!   unwind included — so a misbehaving job cannot leak a pool slot.
 //!
 //! Responses are written under a per-connection mutex so `Accepted`
-//! and `Done` frames from different threads never interleave bytes.
+//! and `Done` frames from different threads never interleave bytes, and
+//! a reader holds that mutex across admission so a job's `Done` never
+//! precedes its `Accepted`.
 
 use crate::admission::{Admission, Job, JobTicket, ReplySink};
 use crate::metrics::ServeMetrics;
@@ -33,8 +35,9 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -84,10 +87,12 @@ struct Shared {
     workers: usize,
     stop: AtomicBool,
     addr: SocketAddr,
-    /// Reader threads park here so shutdown can join them; finished
-    /// readers leave their handle behind (joined at shutdown, cheap).
-    /// The paired stream clone lets shutdown unblock a reader that is
-    /// mid-`read_frame` on a connection the client kept open.
+    /// Live reader threads, so shutdown can join them. The paired
+    /// stream clone lets shutdown unblock a reader that is mid-
+    /// `read_frame` on a connection the client kept open. The acceptor
+    /// reaps finished readers (joins them, drops their clone) at every
+    /// accept, so a churning client leaves no thread or descriptor
+    /// behind.
     readers: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
 }
 
@@ -191,14 +196,28 @@ impl Drop for Server {
     }
 }
 
+/// Sleep after a first failed `accept`; it doubles while the errors
+/// continue, up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// Longest sleep between two failed `accept`s.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     loop {
         let conn = match listener.accept() {
-            Ok((stream, _)) => stream,
+            Ok((stream, _)) => {
+                backoff = ACCEPT_BACKOFF_MIN;
+                stream
+            }
             Err(_) => {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
+                // errors such as EMFILE persist until descriptors free
+                // up: back off instead of spinning on them
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
                 continue;
             }
         };
@@ -212,11 +231,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         let shared2 = Arc::clone(&shared);
         let handle = std::thread::spawn(move || reader_loop(conn, shared2));
-        shared
-            .readers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((handle, shutdown_handle));
+        let mut readers = shared.readers.lock().unwrap_or_else(|e| e.into_inner());
+        let (done, live): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *readers).into_iter().partition(|(h, _)| h.is_finished());
+        *readers = live;
+        readers.push((handle, shutdown_handle));
+        drop(readers);
+        for (h, _stream) in done {
+            let _ = h.join();
+        }
     }
 }
 
@@ -236,12 +259,20 @@ impl Conn {
     /// note so the client is not left waiting on a silently dropped
     /// terminal frame, and the connection stays usable.
     fn send(&self, resp: &Response) {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        match write_frame(&mut *stream, &resp.to_json()) {
+        self.write(&mut self.lock(), resp);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, TcpStream> {
+        self.stream.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// [`Conn::send`] on a stream whose lock the caller holds.
+    fn write(&self, stream: &mut TcpStream, resp: &Response) {
+        match write_frame(stream, &resp.to_json()) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 let note = Response::Error(format!("response dropped: {e}"));
-                if write_frame(&mut *stream, &note.to_json()).is_err() {
+                if write_frame(stream, &note.to_json()).is_err() {
                     self.ticket.cancel();
                 }
             }
@@ -307,13 +338,20 @@ fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
 
 fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, spec: JobSpec) {
     let reply: Arc<dyn ReplySink> = Arc::clone(conn) as Arc<dyn ReplySink>;
-    match shared.admission.submit(spec, Arc::clone(&conn.ticket), reply) {
-        Ok((job_id, tenant, _slot)) => conn.send(&Response::Accepted { job_id, tenant }),
-        Err(rej) => conn.send(&Response::Rejected {
+    // Hold the write lock from admission until the answer is written: a
+    // runner can finish the job before this thread writes `Accepted`,
+    // and its `Done` must not overtake it. No deadlock: `submit` never
+    // blocks (a full lane is a `try_send` rejection), and the runner
+    // only waits for this lock.
+    let mut stream = conn.lock();
+    let answer = match shared.admission.submit(spec, Arc::clone(&conn.ticket), reply) {
+        Ok((job_id, tenant, _slot)) => Response::Accepted { job_id, tenant },
+        Err(rej) => Response::Rejected {
             reason: rej.reason,
             retry_after_ms: rej.retry_after_ms,
-        }),
-    }
+        },
+    };
+    conn.write(&mut stream, &answer);
 }
 
 fn runner_loop(shared: Arc<Shared>) {

@@ -287,3 +287,37 @@ fn unknown_kernel_fails_the_job_not_the_daemon() {
     let (_adm, _rej, completed, _canc, failed) = summary.totals;
     assert_eq!((completed, failed), (1, 1));
 }
+
+#[test]
+fn accepted_always_precedes_done_on_one_connection() {
+    // regression: a runner could finish a tiny job and write `Done`
+    // before the reader wrote `Accepted`, desynchronising
+    // `Client::submit`; the reader now holds the connection's write lock
+    // across admission
+    let cfg = ServeConfig { workers: 1, slots: 2, queue_cap: 64, ..ServeConfig::default() };
+    let server = Server::start(cfg).unwrap();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let spec = JobSpec { size: 16, tile: 16, ..small_job("tiny") };
+    let mut next = |reader: &mut BufReader<TcpStream>| {
+        let FrameIn::Msg(v) = read_frame(reader).unwrap() else {
+            panic!("expected a frame")
+        };
+        Response::from_json(&v).unwrap()
+    };
+    for i in 0..300 {
+        write_frame(&mut s, &Request::Submit(spec.clone()).to_json()).unwrap();
+        match next(&mut reader) {
+            Response::Accepted { job_id, .. } => match next(&mut reader) {
+                Response::Done { job_id: done, .. } => assert_eq!(done, job_id, "job {i}"),
+                other => panic!("job {i}: expected done, got {}", other.to_json().dump()),
+            },
+            Response::Rejected { .. } => {}
+            other => panic!("job {i}: first answer {}", other.to_json().dump()),
+        }
+    }
+    drop((s, reader));
+    let (admitted, _rej, completed, _canc, failed) = server.shutdown().totals;
+    assert_eq!((completed, failed), (admitted, 0));
+}
