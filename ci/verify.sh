@@ -306,7 +306,8 @@ stream_dir="$(mktemp -d)"
 
     # Channel lane (docs/channels.md): the emission channel's counters
     # must ride the same stats report — 16 frames through the channel —
-    # and the backend/wait-policy knobs must actually take effect.
+    # the wait policy must actually take effect, and the removed
+    # --chan-backend flag must be refused.
     for counter in chan_sends chan_recvs chan_full_stalls chan_empty_stalls; do
         grep -q "\"name\": *\"$counter\"" stream_stats.json || {
             echo "error: channel counter $counter missing from --stats=json" >&2
@@ -315,13 +316,18 @@ stream_dir="$(mktemp -d)"
     done
     grep -A2 '"name": *"chan_sends"' stream_stats.json \
         | grep -qE '"total": *16'
-    grep -q "emission channel (Ring/Park)" stream_run.out
+    grep -q "emission channel (Park)" stream_run.out
     "$OLDPWD/target/release/easypap" --kernel mandel_zoom --stream=16 \
         --threads 2 --farm-width 2 --size 32 --no-display \
-        --chan-backend=mpsc --wait-policy=yield --stats > chan_run.out
+        --wait-policy=yield --stats > chan_run.out
     grep -q "16 frames streamed" chan_run.out
-    grep -q "emission channel (Mpsc/Yield): 16 sends, 16 recvs" chan_run.out
-    echo "verify: channel smoke OK (chan counters in stats, knobs take effect)"
+    grep -q "emission channel (Yield): 16 sends, 16 recvs" chan_run.out
+    if "$OLDPWD/target/release/easypap" --kernel mandel_zoom --stream=16 \
+        --size 32 --no-display --chan-backend=mpsc > /dev/null 2>&1; then
+        echo "error: --chan-backend was accepted" >&2
+        exit 1
+    fi
+    echo "verify: channel smoke OK (chan counters in stats, policy takes effect)"
 )
 rm -rf "$stream_dir"
 

@@ -19,10 +19,12 @@ use std::sync::mpsc as std_mpsc;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Yield everywhere: the CI host is a single hardware thread, where a
-/// pure spin waiter burns its whole timeslice blocking the peer it
-/// waits on. `std::sync::mpsc` blocks natively, which on this host
-/// behaves like yield-then-park — the closest fair comparison.
+/// Yield everywhere: the fan-in rows run up to 8 producer threads plus
+/// the consumer, more threads than the host has cores, and on an
+/// oversubscribed host a waiter that does not give up its timeslice
+/// blocks the peer it waits on. `std::sync::mpsc` blocks natively,
+/// which there behaves like yield-then-park — the closest fair
+/// comparison.
 const POLICY: WaitPolicy = WaitPolicy::Yield;
 
 fn smoke() -> bool {

@@ -1,10 +1,11 @@
 //! # ezp-chan — lock-free SPSC/MPMC channels with configurable wait policies
 //!
-//! EASYPAP's runtime moves work between threads in three places: the
-//! streaming frame driver hands finished frames to the presenter, MPI
-//! ranks exchange messages through mailboxes, and the monitor harvests
-//! trace events from workers. This crate gives all three one audited
-//! channel substrate instead of three ad-hoc hand-offs:
+//! EASYPAP's runtime moves work between threads in four places: the
+//! streaming frame driver hands finished frames to the presenter, the
+//! serve daemon queues admitted jobs per tenant, MPI ranks exchange
+//! messages through mailboxes, and the monitor harvests trace events
+//! from workers. This crate gives all four one audited channel
+//! substrate instead of four ad-hoc hand-offs:
 //!
 //! * [`ring`] — the FastFlow-style bounded lock-free SPSC ring: two
 //!   cache-padded monotone cursors over a power-of-two slot array, one
@@ -17,16 +18,21 @@
 //!   uniqueness enforced by `&mut self` on non-`Clone` endpoints.
 //! * [`mpmc`] — MPMC composed from one SPSC lane per producer with
 //!   claim-flag role migration: per-producer FIFO, clonable receivers,
-//!   and an unbounded "mailbox" mode whose sends never block.
-//! * [`backend`] — the [`ChanSender`]/[`ChanReceiver`] trait objects the
-//!   framework programs against, switchable between the ring and a
-//!   `std::sync::mpsc` baseline via `--chan-backend` ([`ChanBackendKind`]).
+//!   and an unbounded "mailbox" mode whose sends never block. Its
+//!   [`MpmcSender`]/[`MpmcReceiver`] endpoints take `&self` and are
+//!   what all four consumers hold, as concrete types.
 //!
-//! How endpoints wait is a run-time knob ([`WaitPolicy`], `--wait-policy`):
-//! spin, yield, or spin-then-park on `ezp_core::park::ParkLot`. Every
-//! channel counts sends/recvs/full-stalls/empty-stalls ([`ChanStats`]),
-//! which consumers forward as `RuntimeEvent::ChanOps` plus
-//! backpressure idle attribution into the unified report.
+//! The ring is the only transport. `std::sync::mpsc` survives only as
+//! the baseline the `chan` bench (`crates/bench/benches/chan.rs`)
+//! measures the ring against.
+//!
+//! How endpoints wait is a [`WaitPolicy`]: yield, or spin-then-park on
+//! `ezp_core::park::ParkLot`. The stream path (`--wait-policy` with
+//! `--stream`) and `easypap serve --wait-policy` expose it; the monitor
+//! and the MPI mailboxes always park. Every channel counts
+//! sends/recvs/full-stalls/empty-stalls ([`ChanStats`]), which
+//! consumers forward as `RuntimeEvent::ChanOps` plus backpressure idle
+//! attribution into the unified report.
 //!
 //! The ring protocol itself is modeled step-by-step in
 //! `ezp_sched::vexec::virtual_chan` and swept by every `ezp-check`
@@ -41,7 +47,6 @@
 // `unsafe-needs-safety` rule.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod backend;
 mod errors;
 pub mod mpmc;
 pub(crate) mod ring;
@@ -49,9 +54,8 @@ pub mod spsc;
 mod stats;
 mod wait;
 
-pub use backend::{bounded, unbounded, ChanReceiver, ChanSender};
 pub use errors::{RecvError, SendError, TryRecvError, TrySendError};
-pub use ezp_core::{ChanBackendKind, ChanTuning, WaitPolicy};
+pub use ezp_core::{ChanTuning, WaitPolicy};
 pub use mpmc::{mpmc, mpmc_unbounded, MpmcReceiver, MpmcSender};
 pub use spsc::{spsc, spsc_from_index, SpscReceiver, SpscSender};
 pub use stats::ChanStats;

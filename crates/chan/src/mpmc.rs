@@ -17,8 +17,8 @@
 //! role-holder did (including its `Relaxed` own-cursor update) visible
 //! to the next holder — which is exactly why the ring's "single-writer
 //! reads its own counter `Relaxed`" argument survives the role hopping.
-//! Claims also make the endpoints usable as `&self`/`Sync` trait
-//! objects ([`crate::backend`]).
+//! Claims also let the endpoints take `&self` and be shared (`Sync`)
+//! across scoped threads.
 //!
 //! ## Unbounded ("mailbox") mode
 //!
@@ -121,7 +121,7 @@ struct MpmcShared<T> {
 
 /// The sending half of one lane of an MPMC channel. Not `Clone`: one
 /// lane, one producer. Methods take `&self` (claim-guarded), so the
-/// endpoint can sit behind a shared trait object.
+/// endpoint can be shared by reference.
 pub struct MpmcSender<T> {
     shared: Arc<MpmcShared<T>>,
     lane: usize,
@@ -445,33 +445,38 @@ mod tests {
 
     #[test]
     fn per_producer_fifo_two_producers() {
-        let (mut txs, rx) = mpmc::<(usize, usize)>(2, 4, WaitPolicy::Yield);
-        let tx1 = txs.pop().unwrap();
-        let tx0 = txs.pop().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..500 {
-                    tx0.send((0, i)).unwrap();
+        for policy in WaitPolicy::all() {
+            let (mut txs, rx) = mpmc::<(usize, usize)>(2, 4, policy);
+            let tx1 = txs.pop().unwrap();
+            let tx0 = txs.pop().unwrap();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    for i in 0..500 {
+                        tx0.send((0, i)).unwrap();
+                    }
+                });
+                s.spawn(move || {
+                    for i in 0..500 {
+                        tx1.send((1, i)).unwrap();
+                    }
+                });
+                let mut next = [0usize; 2];
+                for _ in 0..1000 {
+                    let (p, seq) = rx.recv().unwrap();
+                    assert_eq!(
+                        seq, next[p],
+                        "{policy}: per-producer order for producer {p}"
+                    );
+                    next[p] += 1;
                 }
             });
-            s.spawn(move || {
-                for i in 0..500 {
-                    tx1.send((1, i)).unwrap();
-                }
-            });
-            let mut next = [0usize; 2];
-            for _ in 0..1000 {
-                let (p, seq) = rx.recv().unwrap();
-                assert_eq!(seq, next[p], "per-producer order for producer {p}");
-                next[p] += 1;
-            }
-        });
-        assert_eq!(rx.recv(), Err(RecvError));
+            assert_eq!(rx.recv(), Err(RecvError), "{policy}: closed after drain");
+        }
     }
 
     #[test]
     fn capacity_bound_per_lane() {
-        let (txs, _rx) = mpmc::<u8>(1, 2, WaitPolicy::Spin);
+        let (txs, _rx) = mpmc::<u8>(1, 2, WaitPolicy::Yield);
         let tx = &txs[0];
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
@@ -480,22 +485,41 @@ mod tests {
 
     #[test]
     fn unbounded_send_never_reports_full() {
-        let (txs, rx) = mpmc_unbounded::<usize>(1, WaitPolicy::Yield);
-        let tx = &txs[0];
-        // far beyond the internal lane ring capacity
-        for i in 0..(MAILBOX_LANE_CAP * 4) {
-            tx.send(i).unwrap();
+        for policy in WaitPolicy::all() {
+            let (txs, rx) = mpmc_unbounded::<usize>(1, policy);
+            let tx = &txs[0];
+            // far beyond the internal lane ring capacity
+            for i in 0..(MAILBOX_LANE_CAP * 8) {
+                tx.send(i).unwrap();
+            }
+            for i in 0..(MAILBOX_LANE_CAP * 8) {
+                assert_eq!(
+                    rx.recv().unwrap(),
+                    i,
+                    "{policy}: mailbox FIFO across the spill"
+                );
+            }
+            drop(txs);
+            assert_eq!(rx.recv(), Err(RecvError));
         }
-        for i in 0..(MAILBOX_LANE_CAP * 4) {
-            assert_eq!(rx.recv().unwrap(), i, "mailbox FIFO across the spill");
+    }
+
+    #[test]
+    fn stats_are_shared_by_every_endpoint() {
+        for policy in WaitPolicy::all() {
+            let (txs, rx) = mpmc::<u8>(1, 2, policy);
+            txs[0].send(1).unwrap();
+            txs[0].send(2).unwrap();
+            rx.recv().unwrap();
+            for st in [rx.stats(), txs[0].stats()] {
+                assert_eq!((st.sends, st.recvs), (2, 1), "{policy}");
+            }
         }
-        drop(txs);
-        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]
     fn closed_only_after_drain() {
-        let (txs, rx) = mpmc::<u8>(2, 4, WaitPolicy::Spin);
+        let (txs, rx) = mpmc::<u8>(2, 4, WaitPolicy::Yield);
         txs[0].send(7).unwrap();
         drop(txs);
         assert_eq!(rx.recv(), Ok(7), "item sent before close is delivered");

@@ -1,8 +1,7 @@
 //! Channel activity counters, shared by both endpoints of a channel.
 //!
-//! Every channel — ring-backed or the `std::sync::mpsc` baseline —
-//! carries one [`ChanCounters`] block; [`ChanStats`] is the plain
-//! snapshot handed to callers, who typically forward it as a
+//! Every channel carries one [`ChanCounters`] block; [`ChanStats`] is
+//! the plain snapshot handed to callers, who typically forward it as a
 //! `RuntimeEvent::ChanOps` delta into the perf layer. Stall counts
 //! tally *episodes* (one per time an endpoint found the channel
 //! full/empty and had to wait), not retries inside a wait.

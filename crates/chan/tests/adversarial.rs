@@ -168,7 +168,7 @@ fn wraparound_near_u32_max_indices() {
 #[test]
 fn wraparound_across_usize_overflow() {
     let start = usize::MAX - 7;
-    let (mut tx, mut rx) = spsc_from_index::<usize>(4, WaitPolicy::Spin, start);
+    let (mut tx, mut rx) = spsc_from_index::<usize>(4, WaitPolicy::Yield, start);
     std::thread::scope(|s| {
         s.spawn(move || {
             for i in 0..1_024 {

@@ -245,8 +245,7 @@ fn run_stream(cfg: RunConfig) -> Result<String> {
     .unwrap();
     writeln!(
         out,
-        "emission channel ({:?}/{:?}): {} sends, {} recvs, {} full stalls, {} empty stalls",
-        cfg.chan_backend,
+        "emission channel ({:?}): {} sends, {} recvs, {} full stalls, {} empty stalls",
         cfg.wait_policy,
         stats.chan_sends,
         stats.chan_recvs,

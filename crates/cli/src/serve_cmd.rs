@@ -14,7 +14,7 @@
 
 use ezp_core::error::Error;
 use ezp_core::json::ToJson;
-use ezp_core::params::{ChanBackendKind, WaitPolicy};
+use ezp_core::params::WaitPolicy;
 use ezp_core::Result;
 use ezp_serve::{Client, JobSpec, Response, ServeConfig, Server};
 use std::fmt::Write as _;
@@ -53,7 +53,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T> {
 }
 
 /// `easypap serve [--port N] [--workers N] [--slots N] [--max-tenants N]
-/// [--queue-cap N] [--chan-backend B] [--wait-policy P]` — run the
+/// [--queue-cap N] [--wait-policy yield|park]` — run the
 /// daemon in the foreground until a client sends `shutdown`.
 pub fn run_serve(args: &[String]) -> Result<String> {
     let mut cfg = ServeConfig { port: DEFAULT_PORT, ..ServeConfig::default() };
@@ -85,9 +85,6 @@ pub fn run_serve(args: &[String]) -> Result<String> {
                 if cfg.queue_cap == 0 {
                     return Err(Error::Config("--queue-cap must be > 0".into()));
                 }
-            }
-            "--chan-backend" => {
-                cfg.tuning.backend = ChanBackendKind::parse(flag_value(flag, inline, &mut it)?)?;
             }
             "--wait-policy" => {
                 cfg.tuning.policy = WaitPolicy::parse(flag_value(flag, inline, &mut it)?)?;
@@ -228,6 +225,23 @@ mod tests {
         assert!(err.contains("easypap submit"), "got: {err}");
         assert!(run_serve(&argv(&["--workers", "0"])).is_err());
         assert!(run_serve(&argv(&["--port"])).is_err(), "missing value");
+    }
+
+    #[test]
+    fn removed_chan_settings_are_config_errors() {
+        for args in [
+            &["--chan-backend=mpsc"][..],
+            &["--chan-backend", "ring"][..],
+        ] {
+            match run_serve(&argv(args)) {
+                Err(Error::Config(m)) => assert!(m.contains("unknown option"), "got: {m}"),
+                other => panic!("{args:?}: expected a config error, got {other:?}"),
+            }
+        }
+        match run_serve(&argv(&["--wait-policy=spin"])) {
+            Err(Error::Config(m)) => assert!(m.contains("yield or park"), "got: {m}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -230,11 +230,11 @@ pub enum RuntimeEvent {
         /// Frames concurrently inside one stage at this instant.
         depth: usize,
     },
-    /// Channel activity of an `ezp-chan` channel (or its `mpsc`
-    /// baseline), reported as a delta snapshot by whoever owns the
-    /// channel (the streaming engine per run, the MPI world at
-    /// shutdown). Stall counts tally *episodes* — one per time an
-    /// endpoint found the ring full/empty and had to wait — not retries.
+    /// Channel activity of an `ezp-chan` channel, reported as a delta
+    /// snapshot by whoever owns the channel (the streaming engine per
+    /// run, the MPI world at shutdown). Stall counts tally *episodes* —
+    /// one per time an endpoint found the ring full/empty and had to
+    /// wait — not retries.
     ChanOps {
         /// Items successfully sent.
         sends: u64,

@@ -41,7 +41,7 @@ pub use error::{Error, Result};
 pub use grid::{Tile, TileGrid};
 pub use img::{Img2D, ImagePair};
 pub use kernel::{Kernel, KernelCtx};
-pub use params::{ChanBackendKind, ChanTuning, EmitMode, RunConfig, Schedule, WaitPolicy};
+pub use params::{ChanTuning, EmitMode, RunConfig, Schedule, WaitPolicy};
 pub use registry::Registry;
 
 /// Rank of a worker thread (0-based), mirroring `omp_get_thread_num()` in

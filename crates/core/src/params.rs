@@ -176,15 +176,12 @@ impl std::fmt::Display for EmitMode {
 /// full on send, ring empty on receive).
 ///
 /// The shared vocabulary between `ezp-chan` and the CLI (`--wait-policy`):
-/// `Spin` burns cycles for minimum latency (with a periodic yield escape
-/// hatch so oversubscribed hosts stay live), `Yield` releases the CPU
-/// every iteration, `Park` spins briefly then blocks on a
-/// `ParkLot`-style condvar (lowest CPU waste, a wakeup syscall on the
-/// state change). Tradeoffs are discussed in `docs/channels.md`.
+/// `Yield` releases the CPU every iteration, `Park` spins briefly then
+/// blocks on a `ParkLot`-style condvar (lowest CPU waste, a wakeup
+/// syscall on the state change). Tradeoffs are discussed in
+/// `docs/channels.md`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WaitPolicy {
-    /// Busy-wait with `spin_loop` hints (plus a rare yield).
-    Spin,
     /// `yield_now` between every recheck.
     Yield,
     /// Spin briefly, then park on a condvar until notified.
@@ -196,80 +193,34 @@ impl WaitPolicy {
     /// Parses the value of `--wait-policy=<policy>`.
     pub fn parse(s: &str) -> Result<WaitPolicy> {
         match s {
-            "spin" => Ok(WaitPolicy::Spin),
             "yield" => Ok(WaitPolicy::Yield),
             "park" => Ok(WaitPolicy::Park),
             other => Err(Error::Config(format!(
-                "--wait-policy: unknown policy `{other}` (expected spin, yield or park)"
+                "--wait-policy: unknown policy `{other}` (expected yield or park)"
             ))),
         }
     }
 
     /// Every policy, for exhaustive sweeps (conformance matrix, benches).
-    pub fn all() -> [WaitPolicy; 3] {
-        [WaitPolicy::Spin, WaitPolicy::Yield, WaitPolicy::Park]
+    pub fn all() -> [WaitPolicy; 2] {
+        [WaitPolicy::Yield, WaitPolicy::Park]
     }
 }
 
 impl std::fmt::Display for WaitPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            WaitPolicy::Spin => "spin",
             WaitPolicy::Yield => "yield",
             WaitPolicy::Park => "park",
         })
     }
 }
 
-/// Which channel substrate carries inter-thread messages
-/// (`--chan-backend`): `ezp-chan`'s lock-free ring, or `std::sync::mpsc`
-/// kept as the reference baseline. Every consumer of the
-/// `ezp_chan::ChanSender`/`ChanReceiver` traits accepts either, so the
-/// two stay behaviorally interchangeable (asserted byte-for-byte by the
-/// streaming conformance matrix).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChanBackendKind {
-    /// Bounded lock-free SPSC rings (MPMC = one ring per producer).
-    #[default]
-    Ring,
-    /// `std::sync::mpsc` — the pre-`ezp-chan` baseline.
-    Mpsc,
-}
-
-impl ChanBackendKind {
-    /// Parses the value of `--chan-backend=<backend>`.
-    pub fn parse(s: &str) -> Result<ChanBackendKind> {
-        match s {
-            "ring" => Ok(ChanBackendKind::Ring),
-            "mpsc" => Ok(ChanBackendKind::Mpsc),
-            other => Err(Error::Config(format!(
-                "--chan-backend: unknown backend `{other}` (expected ring or mpsc)"
-            ))),
-        }
-    }
-
-    /// Every backend, for exhaustive sweeps (conformance matrix, benches).
-    pub fn all() -> [ChanBackendKind; 2] {
-        [ChanBackendKind::Ring, ChanBackendKind::Mpsc]
-    }
-}
-
-impl std::fmt::Display for ChanBackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ChanBackendKind::Ring => "ring",
-            ChanBackendKind::Mpsc => "mpsc",
-        })
-    }
-}
-
-/// The channel knobs of a run, bundled so APIs that thread them through
-/// (streaming kernels, the pipeline engine) take one argument instead of
-/// two loose enums.
+/// The channel knob of a run, bundled so APIs that thread it through
+/// (streaming kernels, the pipeline engine, the serve admission lanes)
+/// take one argument.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChanTuning {
-    /// Channel substrate (`--chan-backend`).
-    pub backend: ChanBackendKind,
     /// Behavior when a channel operation cannot progress
     /// (`--wait-policy`).
     pub policy: WaitPolicy,
@@ -337,11 +288,9 @@ pub struct RunConfig {
     /// `--stream-mode ordered|unordered`: output ordering of a
     /// streaming run.
     pub stream_mode: EmitMode,
-    /// `--wait-policy spin|yield|park`: what channel endpoints do when
+    /// `--wait-policy yield|park`: what channel endpoints do when
     /// they cannot progress.
     pub wait_policy: WaitPolicy,
-    /// `--chan-backend ring|mpsc`: the channel substrate messages ride.
-    pub chan_backend: ChanBackendKind,
 }
 
 impl Default for RunConfig {
@@ -372,7 +321,6 @@ impl Default for RunConfig {
             stage_widths: Vec::new(),
             stream_mode: EmitMode::Ordered,
             wait_policy: WaitPolicy::Park,
-            chan_backend: ChanBackendKind::Ring,
         }
     }
 }
@@ -488,9 +436,6 @@ impl RunConfig {
                 "--wait-policy" => {
                     cfg.wait_policy = WaitPolicy::parse(&need_value(&mut it, arg)?)?;
                 }
-                "--chan-backend" => {
-                    cfg.chan_backend = ChanBackendKind::parse(&need_value(&mut it, arg)?)?;
-                }
                 other => {
                     // `--opt=value` spellings of the options above
                     if let Some(fmt) = other.strip_prefix("--stats=") {
@@ -505,8 +450,6 @@ impl RunConfig {
                         cfg.stream_mode = EmitMode::parse(mode)?;
                     } else if let Some(policy) = other.strip_prefix("--wait-policy=") {
                         cfg.wait_policy = WaitPolicy::parse(policy)?;
-                    } else if let Some(backend) = other.strip_prefix("--chan-backend=") {
-                        cfg.chan_backend = ChanBackendKind::parse(backend)?;
                     } else {
                         return Err(Error::Config(format!("unknown option `{other}`")));
                     }
@@ -554,25 +497,21 @@ impl RunConfig {
                 "--farm-width/--stages/--stream-mode require --stream=N".into(),
             ));
         }
-        if self.stream_frames.is_none()
-            && (self.wait_policy != WaitPolicy::default()
-                || self.chan_backend != ChanBackendKind::default())
-        {
-            // channel knobs steer the streaming frame driver and the
-            // serve-mode admission lanes; rejecting them elsewhere keeps
+        if self.stream_frames.is_none() && self.wait_policy != WaitPolicy::default() {
+            // the wait policy steers the streaming frame driver and the
+            // serve-mode admission lanes; rejecting it elsewhere keeps
             // "accepted flag == effective flag" true
             return Err(Error::Config(
-                "--wait-policy/--chan-backend require --stream=N (or `easypap serve`)".into(),
+                "--wait-policy requires --stream=N (or `easypap serve`)".into(),
             ));
         }
         Ok(())
     }
 
-    /// The channel knobs of this run, bundled for APIs that take a
+    /// The channel knob of this run, bundled for APIs that take a
     /// [`ChanTuning`].
     pub fn chan_tuning(&self) -> ChanTuning {
         ChanTuning {
-            backend: self.chan_backend,
             policy: self.wait_policy,
         }
     }
@@ -852,18 +791,14 @@ mod tests {
             "--stream",
             "8",
             "--wait-policy",
-            "spin",
-            "--chan-backend",
-            "mpsc",
+            "yield",
         ])
         .unwrap();
-        assert_eq!(cfg.wait_policy, WaitPolicy::Spin);
-        assert_eq!(cfg.chan_backend, ChanBackendKind::Mpsc);
+        assert_eq!(cfg.wait_policy, WaitPolicy::Yield);
         assert_eq!(
             cfg.chan_tuning(),
             ChanTuning {
-                backend: ChanBackendKind::Mpsc,
-                policy: WaitPolicy::Spin
+                policy: WaitPolicy::Yield
             }
         );
 
@@ -871,32 +806,43 @@ mod tests {
             "--kernel",
             "mandel_zoom",
             "--stream=8",
-            "--wait-policy=yield",
-            "--chan-backend=ring",
+            "--wait-policy=park",
         ])
         .unwrap();
-        assert_eq!(cfg.wait_policy, WaitPolicy::Yield);
-        assert_eq!(cfg.chan_backend, ChanBackendKind::Ring);
+        assert_eq!(cfg.wait_policy, WaitPolicy::Park);
     }
 
     #[test]
     fn chan_options_validate() {
-        // channel knobs without --stream
-        assert!(RunConfig::parse_args(["--kernel", "x", "--wait-policy=spin"]).is_err());
-        assert!(RunConfig::parse_args(["--kernel", "x", "--chan-backend=mpsc"]).is_err());
+        // the wait policy without --stream
+        assert!(RunConfig::parse_args(["--kernel", "x", "--wait-policy=yield"]).is_err());
         // malformed values
         assert!(
             RunConfig::parse_args(["--kernel", "x", "--stream=4", "--wait-policy=block"]).is_err()
         );
-        assert!(
-            RunConfig::parse_args(["--kernel", "x", "--stream=4", "--chan-backend=flume"])
-                .is_err()
-        );
-        // defaults: park waits on the ring backend
+        // defaults: park
         let plain = RunConfig::parse_args(["--kernel", "x"]).unwrap();
         assert_eq!(plain.wait_policy, WaitPolicy::Park);
-        assert_eq!(plain.chan_backend, ChanBackendKind::Ring);
         assert_eq!(plain.chan_tuning(), ChanTuning::default());
+    }
+
+    /// The removed channel settings fail loudly with a typed config
+    /// error instead of being silently accepted.
+    #[test]
+    fn removed_chan_settings_are_config_errors() {
+        for args in [
+            &["--kernel", "x", "--stream=4", "--chan-backend=mpsc"][..],
+            &["--kernel", "x", "--stream=4", "--chan-backend", "ring"][..],
+        ] {
+            match RunConfig::parse_args(args.iter().copied()) {
+                Err(Error::Config(m)) => assert!(m.contains("unknown option"), "got: {m}"),
+                other => panic!("{args:?}: expected a config error, got {other:?}"),
+            }
+        }
+        match RunConfig::parse_args(["--kernel", "x", "--stream=4", "--wait-policy=spin"]) {
+            Err(Error::Config(m)) => assert!(m.contains("yield or park"), "got: {m}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -905,10 +851,6 @@ mod tests {
             assert_eq!(WaitPolicy::parse(&p.to_string()).unwrap(), p);
         }
         assert!(WaitPolicy::parse("busy").is_err());
-        for b in ChanBackendKind::all() {
-            assert_eq!(ChanBackendKind::parse(&b.to_string()).unwrap(), b);
-        }
-        assert!(ChanBackendKind::parse("crossbeam").is_err());
     }
 
     #[test]
@@ -927,21 +869,19 @@ mod tests {
                 .to_string()
         };
         let m = msg(&["--kernel", "x", "--stream=4", "--wait-policy=banana"]);
-        assert!(m.contains("expected spin, yield or park"), "got: {m}");
+        assert!(m.contains("expected yield or park"), "got: {m}");
         assert!(m.contains("banana"), "echoes the offender: {m}");
-        let m = msg(&["--kernel", "x", "--stream=4", "--chan-backend=tcp"]);
-        assert!(m.contains("expected ring or mpsc"), "got: {m}");
         let m = msg(&["--kernel", "x", "--stream=4", "--stream-mode=random"]);
         assert!(m.contains("expected ordered or unordered"), "got: {m}");
         let m = msg(&["--kernel", "x", "--stats=xml"]);
         assert!(m.contains("expected text, json or csv"), "got: {m}");
     }
 
-    /// Channel knobs off the streaming/serve paths are rejected, and the
-    /// rejection points at both legitimate homes.
+    /// The wait policy off the streaming/serve paths is rejected, and
+    /// the rejection points at both legitimate homes.
     #[test]
     fn chan_knob_rejection_mentions_serve_mode() {
-        let err = RunConfig::parse_args(["--kernel", "x", "--wait-policy=spin"])
+        let err = RunConfig::parse_args(["--kernel", "x", "--wait-policy=yield"])
             .expect_err("knob without --stream")
             .to_string();
         assert!(err.contains("--stream=N"), "got: {err}");

@@ -4,18 +4,17 @@
 //! `end_tile` around every tile, so collection must not serialize them.
 //! Each worker gets its own cache-line-padded slot holding the open-tile
 //! timestamp and a private event channel: records ride an unbounded
-//! [`ezp_chan`] lane (a lock-free ring push on the default backend, so
-//! the tile hot path takes no lock), harvested into an accumulator when
-//! a report is requested. The backend is selectable via
-//! [`Monitor::with_tuning`], which is how the conformance matrix holds
-//! both substrates to identical reports.
+//! [`ezp_chan`] lane (a lock-free ring push, so the tile hot path takes
+//! no lock), harvested into an accumulator when a report is requested.
+//! Sends never wait and the harvest only polls (`try_recv`), so the
+//! wait policy never comes into play; the lane uses the default `Park`.
 
 use crate::record::{DepEdge, TileRecord};
 use crate::report::{IterationSpan, MonitorReport};
-use ezp_chan::{unbounded, ChanReceiver, ChanSender, TryRecvError};
+use ezp_chan::{mpmc_unbounded, MpmcReceiver, MpmcSender};
 use ezp_core::kernel::{EdgeKind, Probe};
 use ezp_core::time::now_ns;
-use ezp_core::{ChanTuning, TileGrid, WorkerId};
+use ezp_core::{TileGrid, WaitPolicy, WorkerId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -31,17 +30,17 @@ struct WorkerSlot {
     open_start: AtomicU64,
     /// This worker's event lane. Only this worker sends; unbounded, so
     /// a send never blocks the tile hot path.
-    tx: Box<dyn ChanSender<TileRecord>>,
+    tx: MpmcSender<TileRecord>,
     /// Harvest side of the lane, drained under `harvested`'s lock.
-    rx: Box<dyn ChanReceiver<TileRecord>>,
+    rx: MpmcReceiver<TileRecord>,
     /// Everything harvested from the lane so far — reports are
     /// snapshots, not drains, so records accumulate here.
     harvested: Mutex<Vec<TileRecord>>,
 }
 
 impl WorkerSlot {
-    fn new(tuning: ChanTuning) -> Self {
-        let (mut txs, rx) = unbounded::<TileRecord>(tuning, 1);
+    fn new() -> Self {
+        let (mut txs, rx) = mpmc_unbounded::<TileRecord>(1, WaitPolicy::Park);
         WorkerSlot {
             open_start: AtomicU64::new(u64::MAX),
             tx: txs.pop().expect("one sender lane"),
@@ -55,11 +54,8 @@ impl WorkerSlot {
     /// so each in-flight record lands in the accumulator exactly once.
     fn snapshot(&self) -> Vec<TileRecord> {
         let mut harvested = self.harvested.lock().unwrap();
-        loop {
-            match self.rx.try_recv() {
-                Ok(r) => harvested.push(r),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Closed) => break,
-            }
+        while let Ok(r) = self.rx.try_recv() {
+            harvested.push(r);
         }
         harvested.clone()
     }
@@ -82,16 +78,10 @@ pub struct Monitor {
 impl Monitor {
     /// Creates a monitor for `workers` threads over `grid`.
     pub fn new(workers: usize, grid: TileGrid) -> Self {
-        Self::with_tuning(workers, grid, ChanTuning::default())
-    }
-
-    /// [`Monitor::new`] with the event channel's backend and wait
-    /// policy chosen by `tuning` (`--chan-backend`, `--wait-policy`).
-    pub fn with_tuning(workers: usize, grid: TileGrid, tuning: ChanTuning) -> Self {
         assert!(workers > 0, "monitor needs at least one worker");
         Monitor {
             grid,
-            slots: (0..workers).map(|_| WorkerSlot::new(tuning)).collect(),
+            slots: (0..workers).map(|_| WorkerSlot::new()).collect(),
             current_iteration: AtomicU32::new(0),
             iterations: Mutex::new(Vec::new()),
             edges: Mutex::new(BTreeSet::new()),
@@ -306,37 +296,32 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_and_policy_yields_the_same_report() {
-        use ezp_core::{ChanBackendKind, WaitPolicy};
-        let collect = |tuning| {
-            let m = Arc::new(Monitor::with_tuning(4, grid(), tuning));
-            m.iteration_start(1);
-            let handles: Vec<_> = (0..4)
-                .map(|w| {
-                    let m = m.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..50 {
-                            m.start_tile(w);
-                            m.end_tile(i % 4 * 16, w * 16, 16, 16, w);
-                        }
-                    })
+    fn concurrent_event_lanes_deliver_every_record() {
+        let m = Arc::new(Monitor::new(4, grid()));
+        m.iteration_start(1);
+        let handles: Vec<_> = (0..4)
+            .map(|w| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        m.start_tile(w);
+                        m.end_tile(i % 4 * 16, w * 16, 16, 16, w);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            m.iteration_end(1);
-            let mut rec = m.report().records;
-            rec.sort_by_key(|r| (r.worker, r.x, r.y));
-            rec.iter().map(|r| (r.worker, r.x, r.y, r.w, r.h)).collect::<Vec<_>>()
-        };
-        let baseline = collect(ChanTuning::default());
-        for backend in ChanBackendKind::all() {
-            for policy in WaitPolicy::all() {
-                let tuning = ChanTuning { backend, policy };
-                assert_eq!(collect(tuning), baseline, "{tuning:?}");
-            }
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        m.iteration_end(1);
+        let mut rec = m.report().records;
+        rec.sort_by_key(|r| (r.worker, r.x, r.y));
+        let got: Vec<_> = rec.iter().map(|r| (r.worker, r.x, r.y, r.w, r.h)).collect();
+        let mut want: Vec<_> = (0..4)
+            .flat_map(|w| (0..50).map(move |i| (w, i % 4 * 16, w * 16, 16, 16)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]

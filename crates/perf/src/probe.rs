@@ -78,7 +78,7 @@ pub mod names {
     /// High-water mark of any single stage's occupancy (gauge, worker
     /// slot 0).
     pub const STAGE_OCCUPANCY: &str = "stage_occupancy";
-    /// Items sent over `ezp-chan` channels (or their `mpsc` baseline).
+    /// Items sent over `ezp-chan` channels.
     pub const CHAN_SENDS: &str = "chan_sends";
     /// Items received over `ezp-chan` channels.
     pub const CHAN_RECVS: &str = "chan_recvs";

@@ -12,8 +12,7 @@
 
 use crate::metrics::ServeMetrics;
 use crate::proto::{JobSpec, Response};
-use ezp_chan::backend::{bounded, ChanReceiver, ChanSender};
-use ezp_chan::TrySendError;
+use ezp_chan::{mpmc, MpmcReceiver, MpmcSender, TrySendError};
 use ezp_core::park::ParkLot;
 use ezp_core::time::now_ns;
 use ezp_core::ChanTuning;
@@ -98,8 +97,8 @@ pub struct Reject {
 }
 
 struct Lane {
-    tx: Box<dyn ChanSender<Job>>,
-    rx: Box<dyn ChanReceiver<Job>>,
+    tx: MpmcSender<Job>,
+    rx: MpmcReceiver<Job>,
     /// Current queue depth. counter-only telemetry: admission is
     /// bounded by the channel itself, so a stale depth misleads no one.
     depth: AtomicU64,
@@ -134,7 +133,7 @@ impl Admission {
         let queue_cap = queue_cap.max(1);
         let lanes = (0..metrics.max_tenants())
             .map(|_| {
-                let (mut txs, rx) = bounded::<Job>(tuning, 1, queue_cap);
+                let (mut txs, rx) = mpmc::<Job>(1, queue_cap, tuning.policy);
                 Lane {
                     tx: txs.pop().expect("one producer endpoint"),
                     rx,

@@ -52,7 +52,7 @@ pub struct ServeConfig {
     pub max_tenants: usize,
     /// Bounded depth of each tenant's admission queue.
     pub queue_cap: usize,
-    /// Channel substrate/wait policy of the admission lanes.
+    /// Wait policy of the admission lanes.
     pub tuning: ChanTuning,
 }
 

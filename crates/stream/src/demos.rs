@@ -60,9 +60,9 @@ pub trait StreamKernel: Send + Sync {
         self.run_tuned(dim, frames, mode, farm_width, ChanTuning::default(), pool, probe)
     }
 
-    /// [`StreamKernel::run`] with the emission channel's backend and
-    /// wait policy chosen by `tuning` — what `--chan-backend` and
-    /// `--wait-policy` reach, and what the conformance matrix sweeps.
+    /// [`StreamKernel::run`] with the emission channel's wait policy
+    /// chosen by `tuning` — what `--wait-policy` reaches, and what the
+    /// conformance matrix sweeps.
     #[allow(clippy::too_many_arguments)]
     fn run_tuned(
         &self,

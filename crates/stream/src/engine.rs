@@ -105,8 +105,8 @@ pub fn run_pipeline<T: Send>(
     run_pipeline_tuned(pipe, frames, mode, ChanTuning::default(), pool, probe, source, sink)
 }
 
-/// [`run_pipeline`] with the emission channel's backend and wait policy
-/// chosen by `tuning` (`--chan-backend`, `--wait-policy`).
+/// [`run_pipeline`] with the emission channel's wait policy chosen by
+/// `tuning` (`--wait-policy`).
 ///
 /// Completed frames leave the workers through an `ezp_chan` bounded
 /// channel — one sender lane per worker, drained after the window's
@@ -162,7 +162,7 @@ pub fn run_pipeline_tuned<T: Send>(
         // The window's emission channel: one lane per worker, each deep
         // enough for the whole window, so no send can block (see the
         // function docs for the deadlock-freedom argument).
-        let (txs, rx) = ezp_chan::bounded::<(usize, T)>(tuning, lanes, wlen);
+        let (txs, rx) = ezp_chan::mpmc::<(usize, T)>(lanes, wlen, tuning.policy);
         let tracker = Mutex::new(EmitTracker {
             frontier: 0,
             completed: 0,
@@ -533,18 +533,14 @@ mod tests {
         assert_eq!(stats.chan_full_stalls, 0);
     }
 
-    fn tunings() -> Vec<ChanTuning> {
-        let mut v = Vec::new();
-        for backend in ezp_core::ChanBackendKind::all() {
-            for policy in ezp_core::WaitPolicy::all() {
-                v.push(ChanTuning { backend, policy });
-            }
-        }
-        v
+    fn tunings() -> impl Iterator<Item = ChanTuning> {
+        ezp_core::WaitPolicy::all()
+            .into_iter()
+            .map(|policy| ChanTuning { policy })
     }
 
     #[test]
-    fn every_backend_and_policy_matches_seq_byte_for_byte() {
+    fn every_policy_matches_seq_byte_for_byte() {
         let pipe = square_pipe(4);
         let mut expect = Vec::new();
         pipe.run_seq(100, |f| f as u64, |f, x| expect.push((f, x)));

@@ -40,7 +40,7 @@ pub mod pipeline;
 
 pub use demos::{stream_kernel, stream_registry, StreamKernel};
 pub use engine::{run_pipeline, run_pipeline_tuned, StreamStats};
-pub use ezp_core::{ChanBackendKind, ChanTuning, EmitMode, WaitPolicy};
+pub use ezp_core::{ChanTuning, EmitMode, WaitPolicy};
 pub use farm::Farm;
 pub use mapreduce::map_reduce;
 pub use pipeline::Pipeline;
