@@ -82,6 +82,33 @@ cargo test -q --offline -p easypap --features ezp-check
 cargo test -q --offline -p easypap --features ezp-check \
     --test conformance -- conformance_smoke_two_workers
 
+# Mandel exactness lane: the row function every CPU variant runs (lane
+# escape loop + palette) must equal mandel_color(escape_iterations(..))
+# pixel by pixel. The property test runs under three fixed seeds beyond
+# the default one, and a max_iter above mandel::MAX_ITER_LIMIT must be a
+# configuration error, never an allocation.
+for seed in 1 0x5eed 0xdeadbeef; do
+    EZP_TEST_SEED=$seed cargo test -q --offline -p ezp-kernels \
+        prop_row_matches_per_pixel_reference
+done
+mandel_dir="$(mktemp -d)"
+(
+    cd "$mandel_dir"
+    if "$OLDPWD/target/release/easypap" --kernel mandel --arg 2000000 \
+        --size 32 --iterations 1 --no-display 2> mandel_err.out; then
+        echo "error: mandel accepted max_iter 2000000" >&2
+        exit 1
+    fi
+    grep -q "configuration error: mandel: max_iter 2000000 exceeds the limit" \
+        mandel_err.out || {
+        echo "error: mandel max_iter over the limit is not a config error:" >&2
+        cat mandel_err.out >&2
+        exit 1
+    }
+    echo "verify: mandel rejects max_iter above its limit"
+)
+rm -rf "$mandel_dir"
+
 # Scheduler-hot-path bench gate: run the sched bench in smoke mode,
 # emit BENCH_sched.json, and diff it against the committed baseline
 # (ci/BENCH_sched.json). What is compared is the lock-free/mutex

@@ -7,7 +7,7 @@
 //!
 //! | kernel | §      | variants |
 //! |--------|--------|----------|
-//! | [`mandel`]    | III-A | `seq`, `tiled`, `omp`, `omp_tiled`, `omp_tiled_x4` (4-lane escape loop), `gpu` |
+//! | [`mandel`]    | III-A | `seq`, `tiled`, `omp`, `omp_tiled`, `omp_tiled_x4` (alias of `omp_tiled`), `gpu` — one row function, a 4-lane escape loop over a precomputed palette |
 //! | [`blur`]      | III-B | `seq`, `omp_tiled` (border tests everywhere), `omp_tiled_opt` (specialized inner tiles) |
 //! | [`life`]      | III-D | `seq`, `omp_tiled`, `lazy`, `mpi_omp` — bit-packed low-memory boards |
 //! | [`ccomp`]     | III-C | `seq`, `taskdep` (OpenMP-style task dependencies, Fig. 11) |

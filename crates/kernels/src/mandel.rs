@@ -89,57 +89,110 @@ pub fn escape_iterations(cx: f64, cy: f64, max_iter: u32) -> u32 {
     it
 }
 
-/// Four-lane escape-time iteration: computes [`escape_iterations`] for
-/// four points at once with a lane mask, the structure a SIMD
-/// implementation (the paper mentions "intrinsics instructions" as one
-/// of the supported paradigms) would use — written so LLVM can
-/// vectorize the lane operations. Value-identical to the scalar path
-/// (property-tested): the scalar cardioid shortcut only answers
-/// `max_iter` early for points the iteration would also grade
-/// `max_iter`, so skipping it changes speed, never results.
-pub fn escape_iterations_x4(cx: [f64; 4], cy: [f64; 4], max_iter: u32) -> [u32; 4] {
-    let mut zx = [0.0f64; 4];
-    let mut zy = [0.0f64; 4];
-    let mut iters = [max_iter; 4];
-    let mut active = [true; 4];
-    for it in 0..max_iter {
-        let mut any = false;
-        for l in 0..4 {
-            if !active[l] {
-                continue;
-            }
-            let x2 = zx[l] * zx[l];
-            let y2 = zy[l] * zy[l];
-            if x2 + y2 >= 4.0 {
-                iters[l] = it;
-                active[l] = false;
-                continue;
-            }
+/// True when `(cx, cy)` lies in the main cardioid or the period-2 bulb,
+/// where the escape iteration never escapes: the shortcut of
+/// [`escape_iterations`], restated rather than shared so that
+/// `escape_iterations` stays an independent reference for the row.
+#[inline]
+fn in_cardioid_or_bulb(cx: f64, cy: f64) -> bool {
+    let q = (cx - 0.25) * (cx - 0.25) + cy * cy;
+    q * (q + (cx - 0.25)) <= 0.25 * cy * cy || (cx + 1.0) * (cx + 1.0) + cy * cy <= 0.0625
+}
+
+/// Points iterated side by side by [`escape_lanes`]. Four `f64` lanes
+/// fill two SSE2 registers per variable, enough independent chains to
+/// hide the multiply latency of the scalar loop's one chain; see
+/// EXPERIMENTS.md, "Mandel row", for the 4 vs 8 measurement.
+const LANES: usize = 4;
+
+/// The escape loop of [`escape_iterations`], without its shortcut, for
+/// [`LANES`] points at once. Branch-free per lane: a lane's mask turns
+/// off the first time its point escapes and its counter stops, while its
+/// `z` keeps iterating unobserved; the loop ends when every mask is off
+/// or after `max_iter` passes. Each lane evaluates the scalar loop's
+/// expressions in the scalar loop's order, so every count is exact.
+#[inline(always)]
+fn escape_lanes(cx: [f64; LANES], cy: [f64; LANES], max_iter: u32) -> [u32; LANES] {
+    let (mut zx, mut zy) = ([0.0f64; LANES], [0.0f64; LANES]);
+    // all-ones while the lane's point has not escaped: `f64`-wide masks
+    // keep the lane test in the SSE registers the arithmetic uses
+    let mut active = [u64::MAX; LANES];
+    let mut count = [0u64; LANES];
+    for _ in 0..max_iter {
+        for l in 0..LANES {
+            let (x2, y2) = (zx[l] * zx[l], zy[l] * zy[l]);
+            active[l] &= ((x2 + y2 < 4.0) as u64).wrapping_neg();
+            count[l] += active[l] & 1;
             let t = x2 - y2 + cx[l];
             zy[l] = 2.0 * zx[l] * zy[l] + cy[l];
             zx[l] = t;
-            any = true;
         }
-        if !any {
+        if active.iter().fold(0, |any, &m| any | m) == 0 {
             break;
         }
     }
-    iters
+    count.map(|n| n as u32)
 }
 
-/// Scalar escape time without the cardioid/bulb shortcut — the exact
-/// reference for [`escape_iterations_x4`].
-pub fn escape_iterations_noshortcut(cx: f64, cy: f64, max_iter: u32) -> u32 {
-    let mut zx = 0.0f64;
-    let mut zy = 0.0f64;
-    let mut it = 0;
-    while zx * zx + zy * zy < 4.0 && it < max_iter {
-        let t = zx * zx - zy * zy + cx;
-        zy = 2.0 * zx * zy + cy;
-        zx = t;
-        it += 1;
+/// Calls `emit(i, escape_iterations(cx, cy, max_iter))` once for every
+/// pixel `(x0 + i, y)` of a `len`-pixel image row, `i` in `0..len`, in
+/// no fixed order. Cardioid and bulb pixels are answered first; the
+/// others are packed [`LANES`] at a time into [`escape_lanes`], and the
+/// last `< LANES` of them go through the scalar [`escape_iterations`].
+#[inline]
+pub fn escape_row(
+    x0: usize,
+    y: usize,
+    len: usize,
+    view: &Viewport,
+    dim: usize,
+    max_iter: u32,
+    mut emit: impl FnMut(usize, u32),
+) {
+    let mut pixel = [0usize; LANES];
+    let (mut cx, mut cy) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let mut queued = 0;
+    for i in 0..len {
+        let (a, b) = view.pixel_to_complex(x0 + i, y, dim);
+        if in_cardioid_or_bulb(a, b) {
+            emit(i, max_iter);
+            continue;
+        }
+        (pixel[queued], cx[queued], cy[queued]) = (i, a, b);
+        queued += 1;
+        if queued == LANES {
+            for (&i, n) in pixel.iter().zip(escape_lanes(cx, cy, max_iter)) {
+                emit(i, n);
+            }
+            queued = 0;
+        }
     }
-    it
+    for l in 0..queued {
+        emit(pixel[l], escape_iterations(cx[l], cy[l], max_iter));
+    }
+}
+
+/// The largest `max_iter` mandel accepts (`--arg`): the palette holds
+/// `max_iter + 1` colours, 4 MiB at this limit.
+pub const MAX_ITER_LIMIT: u32 = 1 << 20;
+
+/// The colour of every escape count: `palette(max_iter)[n]` is
+/// `mandel_color(n, max_iter)` for `n` in `0..=max_iter`. Built once per
+/// `compute` call, so that no pixel pays for `mandel_color`'s `sin` and
+/// HSV conversion.
+pub fn palette(max_iter: u32) -> Vec<Rgba> {
+    (0..=max_iter).map(|n| mandel_color(n, max_iter)).collect()
+}
+
+/// Rejects a `max_iter` above [`MAX_ITER_LIMIT`] before anything sized
+/// by it is allocated.
+fn check_max_iter(max_iter: u32) -> Result<()> {
+    if max_iter > MAX_ITER_LIMIT {
+        return Err(Error::Config(format!(
+            "mandel: max_iter {max_iter} exceeds the limit of {MAX_ITER_LIMIT}"
+        )));
+    }
+    Ok(())
 }
 
 /// Exact number of escape-time iterations needed by every pixel of
@@ -155,10 +208,6 @@ pub fn tile_cost(view: &Viewport, tile: Tile, dim: usize, max_iter: u32) -> u64 
     }
     total
 }
-
-/// The row function of a CPU variant: [`mandel_row`] or
-/// [`mandel_row_x4`].
-type MandelRow = fn(&mut [Rgba], usize, usize, &Viewport, usize, u32);
 
 /// The Mandelbrot kernel state.
 pub struct Mandel {
@@ -178,40 +227,17 @@ impl Default for Mandel {
 }
 
 /// One tile row of the escape-time image: `row[i]` is pixel
-/// `(x0 + i, y)`. Kept out of line so that every driver and both call
-/// sites (the `seq` image and the `omp_tiled` tiles) run this one
-/// compiled loop; inlined into the pool's region closure, LLVM packed
-/// `(zx, zy)` into one SSE register and the escape loop paid shuffles on
-/// every iteration.
+/// `(x0 + i, y)`, coloured from `palette` (see [`palette`]). Kept out
+/// of line so that every driver and both call sites (the `seq` image and
+/// the `omp_tiled` tiles) run this one compiled loop; inlined into the
+/// pool's region closure, LLVM packed `(zx, zy)` into one SSE register
+/// and the escape loop paid shuffles on every iteration.
 #[inline(never)]
-fn mandel_row(row: &mut [Rgba], x0: usize, y: usize, view: &Viewport, dim: usize, max_iter: u32) {
-    for (i, px) in row.iter_mut().enumerate() {
-        let (cx, cy) = view.pixel_to_complex(x0 + i, y, dim);
-        *px = mandel_color(escape_iterations(cx, cy, max_iter), max_iter);
-    }
-}
-
-/// [`mandel_row`] four pixels at a time through
-/// [`escape_iterations_x4`], with a scalar tail — the lane-parallel inner
-/// loop a SIMD/intrinsics port would use (the paper's "intrinsics
-/// instructions" paradigm). Produces the exact pixels of the scalar row.
-#[inline(never)]
-fn mandel_row_x4(row: &mut [Rgba], x0: usize, y: usize, view: &Viewport, dim: usize, max_iter: u32) {
-    let mut quads = row.chunks_exact_mut(4);
-    let mut x = x0;
-    for quad in &mut quads {
-        let mut cx = [0.0; 4];
-        let mut cy = [0.0; 4];
-        for l in 0..4 {
-            (cx[l], cy[l]) = view.pixel_to_complex(x + l, y, dim);
-        }
-        let iters = escape_iterations_x4(cx, cy, max_iter);
-        for (px, n) in quad.iter_mut().zip(iters) {
-            *px = mandel_color(n, max_iter);
-        }
-        x += 4;
-    }
-    mandel_row(quads.into_remainder(), x, y, view, dim, max_iter);
+fn mandel_row(row: &mut [Rgba], x0: usize, y: usize, view: &Viewport, dim: usize, palette: &[Rgba]) {
+    let max_iter = (palette.len() - 1) as u32;
+    escape_row(x0, y, row.len(), view, dim, max_iter, |i, n| {
+        row[i] = palette[n as usize];
+    });
 }
 
 impl Mandel {
@@ -220,6 +246,7 @@ impl Mandel {
     fn compute_gpu(&mut self, ctx: &mut KernelCtx, nb_iter: u32) -> Result<()> {
         let dim = ctx.dim();
         let device = VirtualDevice::new(ctx.threads());
+        let palette = palette(self.max_iter);
         for it in 1..=nb_iter {
             ctx.probe.iteration_start(it);
             let view = self.view;
@@ -230,7 +257,7 @@ impl Mandel {
             };
             let (out, _profile) = device.launch(range, ctx.images.cur(), |x, y, _| {
                 let (cx, cy) = view.pixel_to_complex(x, y, dim);
-                mandel_color(escape_iterations(cx, cy, max_iter), max_iter)
+                palette[escape_iterations(cx, cy, max_iter) as usize]
             })?;
             ctx.images.cur_mut().copy_from(&out);
             self.view.zoom();
@@ -254,28 +281,33 @@ impl Kernel for Mandel {
             self.max_iter = arg
                 .parse()
                 .map_err(|_| Error::Config(format!("mandel: bad max_iter `{arg}`")))?;
+            check_max_iter(self.max_iter)?;
         }
         ctx.images.cur_mut().fill(Rgba::BLACK);
         Ok(())
     }
 
     fn compute(&mut self, ctx: &mut KernelCtx, variant: &str, nb_iter: u32) -> Result<Option<u32>> {
-        let (driver, row): (Driver, MandelRow) = match variant {
-            "seq" => (Driver::Seq, mandel_row),
-            "tiled" => (Driver::Tiled, mandel_row),
-            "omp" => (Driver::Omp, mandel_row),
-            "omp_tiled" => (Driver::OmpTiled, mandel_row),
-            "omp_tiled_x4" => (Driver::OmpTiled, mandel_row_x4),
+        check_max_iter(self.max_iter)?;
+        let driver = match variant {
+            "seq" => Driver::Seq,
+            "tiled" => Driver::Tiled,
+            "omp" => Driver::Omp,
+            // every CPU variant runs the lane loop of `mandel_row`; the
+            // former "intrinsics" variant stays as a name of `omp_tiled`
+            // so that command lines and benchmarks naming it still run
+            "omp_tiled" | "omp_tiled_x4" => Driver::OmpTiled,
             "gpu" => return self.compute_gpu(ctx, nb_iter).map(|()| None),
             other => return Err(crate::unknown_variant("mandel", other)),
         };
         let dim = ctx.dim();
+        let palette = palette(self.max_iter);
         run_variant(ctx, driver, nb_iter, |sweep, images| {
-            let (view, max_iter) = (self.view, self.max_iter);
+            let view = self.view;
             sweep.tiles(images.cur_mut(), &|w| {
                 let t = w.tile();
                 for y in t.y..t.y + t.h {
-                    row(w.row_mut(y), t.x, y, &view, dim, max_iter);
+                    mandel_row(w.row_mut(y), t.x, y, &view, dim, &palette);
                 }
                 true
             });
@@ -289,6 +321,7 @@ impl Kernel for Mandel {
 mod tests {
     use super::*;
     use ezp_core::{RunConfig, Schedule, TileGrid};
+    use ezp_testkit::ezp_proptest;
 
     fn ctx(dim: usize, tile: usize, threads: usize) -> KernelCtx {
         KernelCtx::new(
@@ -321,15 +354,26 @@ mod tests {
 
     #[test]
     fn cardioid_shortcut_matches_iteration() {
-        // points the shortcut claims are inside must not escape
-        for &(cx, cy) in &[(0.1, 0.1), (-0.2, 0.0), (-1.05, 0.05)] {
-            let q = (cx - 0.25f64) * (cx - 0.25) + cy * cy;
-            let inside_shortcut = q * (q + (cx - 0.25)) <= 0.25 * cy * cy
-                || (cx + 1.0) * (cx + 1.0) + cy * cy <= 0.0625;
-            if inside_shortcut {
-                assert_eq!(escape_iterations(cx, cy, 512), 512);
+        // points the shortcut answers must not escape the shortcut-free
+        // lane loop either
+        let view = Viewport::default();
+        let mut inside = 0;
+        for y in 0..64 {
+            for x0 in (0..64).step_by(LANES) {
+                let (mut cx, mut cy) = ([0.0; LANES], [0.0; LANES]);
+                for l in 0..LANES {
+                    (cx[l], cy[l]) = view.pixel_to_complex(x0 + l, y, 64);
+                }
+                let counts = escape_lanes(cx, cy, 512);
+                for l in 0..LANES {
+                    if in_cardioid_or_bulb(cx[l], cy[l]) {
+                        inside += 1;
+                        assert_eq!(counts[l], 512, "({}, {y}) escaped", x0 + l);
+                    }
+                }
             }
         }
+        assert!(inside > 0, "no pixel of the default view hit the shortcut");
     }
 
     #[test]
@@ -340,27 +384,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_parallel_escape_matches_scalar() {
-        let view = Viewport::default();
-        for y in (0..64).step_by(3) {
-            for x0 in (0..60).step_by(4) {
-                let mut cx = [0.0; 4];
-                let mut cy = [0.0; 4];
-                for l in 0..4 {
-                    let (a, b) = view.pixel_to_complex(x0 + l, y, 64);
-                    cx[l] = a;
-                    cy[l] = b;
-                }
-                let lanes = escape_iterations_x4(cx, cy, 200);
-                for l in 0..4 {
-                    assert_eq!(
-                        lanes[l],
-                        escape_iterations_noshortcut(cx[l], cy[l], 200),
-                        "lane {l} diverged at ({},{y})", x0 + l
-                    );
-                    assert_eq!(lanes[l], escape_iterations(cx[l], cy[l], 200));
-                }
+    /// The `max_iter` values the row property sweeps: the degenerate
+    /// caps 0 to 3, where most lanes end at the cap, a small odd one,
+    /// the default and a deep one.
+    const MAX_ITERS: [u32; 8] = [0, 1, 2, 3, 7, 64, DEFAULT_MAX_ITER, 1000];
+
+    ezp_proptest! {
+        #![cases(4096)]
+
+        fn prop_row_matches_per_pixel_reference(
+            zooms in 0usize..81,
+            dim in 1usize..1024,
+            x0 in 0usize..1024,
+            y in 0usize..1024,
+            len in 0usize..41,
+            which in 0usize..8,
+        ) {
+            let mut view = Viewport::default();
+            for _ in 0..zooms {
+                view.zoom();
+            }
+            let (x0, y, max_iter) = (x0 % dim, y % dim, MAX_ITERS[which]);
+            // alpha 0 is no palette colour: every pixel must be written
+            let mut row = vec![Rgba::new(1, 2, 3, 0); len];
+            mandel_row(&mut row, x0, y, &view, dim, &palette(max_iter));
+            for (i, &px) in row.iter().enumerate() {
+                let (cx, cy) = view.pixel_to_complex(x0 + i, y, dim);
+                let want = mandel_color(escape_iterations(cx, cy, max_iter), max_iter);
+                assert_eq!(px, want, "pixel ({}, {y}) of a {len}-pixel row", x0 + i);
             }
         }
     }
@@ -420,6 +471,30 @@ mod tests {
         })
         .unwrap();
         assert!(k.init(&mut bad).is_err());
+    }
+
+    #[test]
+    fn max_iter_above_the_limit_is_a_config_error() {
+        let init = |arg: u32| {
+            let mut cfg = RunConfig::new("mandel").size(32).tile(8);
+            cfg.kernel_arg = Some(arg.to_string());
+            Mandel::default().init(&mut KernelCtx::new(cfg).unwrap())
+        };
+        init(MAX_ITER_LIMIT).unwrap();
+        let err = init(MAX_ITER_LIMIT + 1).unwrap_err();
+        assert!(
+            matches!(&err, Error::Config(msg) if msg.contains(&MAX_ITER_LIMIT.to_string())),
+            "{err:?}"
+        );
+        // the field is public: compute checks it again before allocating
+        let mut k = Mandel {
+            max_iter: u32::MAX,
+            ..Mandel::default()
+        };
+        let mut c = ctx(32, 8, 1);
+        for variant in ["seq", "gpu"] {
+            assert!(matches!(k.compute(&mut c, variant, 1), Err(Error::Config(_))));
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ use crate::engine::{run_pipeline_tuned, StreamStats};
 use crate::pipeline::Pipeline;
 use ezp_core::error::Result;
 use ezp_core::kernel::Probe;
-use ezp_core::{color, ChanTuning, EmitMode};
-use ezp_kernels::mandel::{escape_iterations, Viewport, DEFAULT_MAX_ITER};
+use ezp_core::{ChanTuning, EmitMode};
+use ezp_kernels::mandel::{self, Viewport, DEFAULT_MAX_ITER};
 use ezp_sched::WorkerPool;
 use ezp_testkit::Rng;
 use std::collections::BTreeMap;
@@ -133,6 +133,7 @@ struct MandelZoom;
 const ZOOM_MAX_ITER: u32 = DEFAULT_MAX_ITER / 4;
 
 fn mandel_zoom_pipeline(dim: usize, width: usize) -> Pipeline<Vec<u8>> {
+    let palette = mandel::palette(ZOOM_MAX_ITER);
     Pipeline::new()
         .farm_stage("render", width, move |frame, buf: &mut Vec<u8>| {
             let mut view = Viewport::default();
@@ -140,23 +141,20 @@ fn mandel_zoom_pipeline(dim: usize, width: usize) -> Pipeline<Vec<u8>> {
                 view.zoom();
             }
             buf.clear();
-            buf.reserve(dim * dim * 4);
+            buf.resize(dim * dim * 4, 0);
             for y in 0..dim {
-                for x in 0..dim {
-                    let (cx, cy) = view.pixel_to_complex(x, y, dim);
-                    let it = escape_iterations(cx, cy, ZOOM_MAX_ITER);
-                    buf.extend_from_slice(&it.to_le_bytes());
-                }
+                let row = &mut buf[y * dim * 4..(y + 1) * dim * 4];
+                mandel::escape_row(0, y, dim, &view, dim, ZOOM_MAX_ITER, |x, it| {
+                    row[4 * x..4 * x + 4].copy_from_slice(&it.to_le_bytes());
+                });
             }
         })
         .stage("encode", move |_, buf: &mut Vec<u8>| {
             // iteration counts → RGBA bytes (the "encoder" tail)
-            let mut px = Vec::with_capacity(buf.len());
-            for it in buf.chunks_exact(4) {
-                let it = u32::from_le_bytes([it[0], it[1], it[2], it[3]]);
-                px.extend_from_slice(&color::mandel_color(it, ZOOM_MAX_ITER).0.to_le_bytes());
+            for px in buf.chunks_exact_mut(4) {
+                let it = u32::from_le_bytes([px[0], px[1], px[2], px[3]]);
+                px.copy_from_slice(&palette[it as usize].0.to_le_bytes());
             }
-            *buf = px;
         })
 }
 
@@ -342,6 +340,26 @@ mod tests {
         assert_eq!(names.len(), reg.len(), "duplicate streaming kernel names");
         assert!(stream_kernel("mandel_zoom").is_some());
         assert!(stream_kernel("nope").is_none());
+    }
+
+    #[test]
+    fn mandel_zoom_frames_match_the_per_pixel_reference() {
+        // 21 is not a multiple of the lane count: every row has a tail
+        let dim = 21;
+        for (f, bytes) in stream_kernel("mandel_zoom").unwrap().run_seq(dim, 40) {
+            let mut view = Viewport::default();
+            for _ in 0..f {
+                view.zoom();
+            }
+            let want: Vec<u8> = (0..dim * dim)
+                .flat_map(|p| {
+                    let (cx, cy) = view.pixel_to_complex(p % dim, p / dim, dim);
+                    let it = mandel::escape_iterations(cx, cy, ZOOM_MAX_ITER);
+                    ezp_core::color::mandel_color(it, ZOOM_MAX_ITER).0.to_le_bytes()
+                })
+                .collect();
+            assert_eq!(bytes, want, "frame {f}");
+        }
     }
 
     #[test]

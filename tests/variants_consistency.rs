@@ -100,6 +100,31 @@ fn schedules_never_change_results() {
     }
 }
 
+/// mandel's final images pinned by digest (FNV-1a over the pixels'
+/// little-endian bytes, the digest the serve daemon reports), so that a
+/// faster row function cannot drift from the pixels students have
+/// always seen, even if every variant drifts together.
+#[test]
+fn mandel_final_images_match_pinned_digests() {
+    // (dim, tile, iterations, digest): the easybench mandel job, and a
+    // test-sized one
+    let pinned = [
+        (512, 32, 3, 0x02cd_2565_4521_de09u64),
+        (64, 16, 1, 0xc8e5_1c33_a58f_f389),
+    ];
+    for (dim, tile, iters, want) in pinned {
+        for variant in ["seq", "omp_tiled", "omp_tiled_x4", "gpu"] {
+            let img = final_image("mandel", variant, dim, tile, iters, 2, Schedule::Dynamic(2));
+            let bytes: Vec<u8> = img.iter().flat_map(|p| p.0.to_le_bytes()).collect();
+            let got = ezp_serve::proto::fnv1a(&bytes);
+            assert_eq!(
+                got, want,
+                "mandel/{variant} {dim}² tile {tile} x{iters}: digest {got:#018x} != pinned {want:#018x}"
+            );
+        }
+    }
+}
+
 #[test]
 fn tile_size_never_changes_results() {
     // except pixelize, where the tile *is* the effect
